@@ -141,7 +141,6 @@ class ClusterServer:
                  drain_grace_s: float = DEFAULT_DRAIN_GRACE_S,
                  latency_s: float = LINK_LATENCY_S,
                  bandwidth: float = LINK_BANDWIDTH_BYTES_S,
-                 scheduler: Optional[str] = None,
                  obs=None) -> None:
         if not targets:
             raise FrameworkError("cluster needs at least one host")
@@ -222,9 +221,6 @@ class ClusterServer:
         self.drain_grace_s = drain_grace_s
         self.latency_s = latency_s
         self.bandwidth = bandwidth
-        #: Scheduler kernel for the run's Environment ("heap"/"wheel");
-        #: None defers to the REPRO_SIM_SCHEDULER env var.
-        self.scheduler = scheduler
         self.obs = obs
         #: Health trail of the last run (host-level transitions).
         self.health: Optional[HealthMonitor] = None
@@ -242,7 +238,7 @@ class ClusterServer:
         requests = workload.requests(
             num_requests, deadline_s=self.deadline_seconds)
 
-        env = Environment(scheduler=self.scheduler)
+        env = Environment()
         if self.obs is not None:
             self.obs.attach(env)
         self._env = env

@@ -314,7 +314,7 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
     graph = paper_timing_graph()
 
     def make_run(plan=None, timeout=None, obs=None):
-        fw = NCSw(obs=obs, scheduler=args.scheduler)
+        fw = NCSw(obs=obs)
         fw.add_source("synthetic", SyntheticSource(args.images))
         fw.add_target("vpu", IntelVPU(
             graph=graph, num_devices=args.devices, functional=False,
@@ -547,7 +547,6 @@ def _serve_server(args: argparse.Namespace, targets, obs=None):
         deadline_seconds=(args.deadline / 1000.0
                           if args.deadline is not None else None),
         warmup=args.warmup,
-        scheduler=getattr(args, "scheduler", None),
         obs=obs)
     for name, target in targets.items():
         server.add_target(name, target)
@@ -862,7 +861,6 @@ def _cluster_server(args: argparse.Namespace, targets, *,
         host_faults=host_faults,
         autoscaler=autoscaler,
         initial_hosts=initial_hosts,
-        scheduler=getattr(args, "scheduler", None),
         obs=obs)
 
 
@@ -1425,11 +1423,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="fan per-victim runs across N processes "
                             "(results identical to --jobs 1)")
-    chaos.add_argument("--scheduler", default=None,
-                       choices=["heap", "wheel"],
-                       help="DES kernel (default: heap, or "
-                            "$REPRO_SIM_SCHEDULER); results are "
-                            "byte-identical across kernels")
 
     serve_common = argparse.ArgumentParser(add_help=False)
     serve_common.add_argument(
@@ -1466,10 +1459,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_common.add_argument(
         "--warmup", type=int, default=0,
         help="leading completions excluded from latency stats")
-    serve_common.add_argument(
-        "--scheduler", default=None, choices=["heap", "wheel"],
-        help="DES kernel (default: heap, or $REPRO_SIM_SCHEDULER); "
-             "results are byte-identical across kernels")
 
     serve_run = sub.add_parser(
         "serve-run", parents=[serve_common],
@@ -1589,10 +1578,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--spill-threshold", type=int, default=None, metavar="N",
         help="outstanding requests before a shard spills to the "
              "least-loaded host (default: window + queue depth)")
-    cluster_common.add_argument(
-        "--scheduler", default=None, choices=["heap", "wheel"],
-        help="DES kernel (default: heap, or $REPRO_SIM_SCHEDULER); "
-             "results are byte-identical across kernels")
 
     cluster_run = sub.add_parser(
         "cluster-run", parents=[cluster_common],

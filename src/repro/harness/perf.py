@@ -1,15 +1,10 @@
 """Wall-clock performance harness for the repository's hot paths.
 
 Unlike the figure drivers — which measure *simulated* time — this
-module measures *host* wall-clock over three canonical workloads:
+module measures *host* wall-clock over four canonical workloads:
 
 * ``sim_events_per_sec`` — a pure DES producer/consumer/resource
   workload on :mod:`repro.sim` (the kernel under every experiment).
-* ``sim_wheel_events_per_sec`` — a serve-shaped workload (a deep
-  pending set of jittered deadlines plus same-instant completion
-  chains) timed on **both** scheduler kernels; the headline is the
-  event-wheel rate and the detail records the heap baseline and the
-  matched-workload speedup.
 * ``googlenet_fp32_img_s`` / ``googlenet_fp16_img_s`` — functional
   GoogLeNet-mini forward passes at batch 8 in both precision
   policies (the numerics under every functional experiment).
@@ -130,45 +125,6 @@ def _sim_workload(n_items: int, n_workers: int = 4) -> int:
     return env._seq
 
 
-def _serve_shape_workload(sessions: int, cycles: int,
-                          scheduler: str) -> int:
-    """Serve-shaped kernel stress: a deep pending set of jittered
-    deadline timers with same-instant completion chains.
-
-    This is the million-user regime the event wheel targets — every
-    concurrent session holds a far-out deadline (so the pending set
-    is ``sessions`` deep) while completions hop through now-events.
-    A binary heap pays ``log(sessions)`` per operation here, now-
-    events included; the wheel's now-deques and cursor bucket do not.
-    Returns events scheduled (``env._seq``), identical across kernels
-    by the determinism contract.
-    """
-    from repro.sim.core import Environment
-
-    env = Environment(scheduler=scheduler)
-
-    def hop(ev):
-        yield ev
-
-    def session(state: int):
-        for _ in range(cycles):
-            state = (state * 1103515245 + 12345) & 0x7FFFFFFF
-            # Deadline-style timer: far out relative to the chains
-            # below, jittered so sessions interleave.
-            yield env.timeout(0.05 + (state / 0x7FFFFFFF) * 0.1)
-            # Completion chase: a few same-instant event hops.
-            for _ in range(3):
-                ev = env.event()
-                env.process(hop(ev))
-                ev.succeed()
-                yield env.timeout(0.0)
-
-    for i in range(sessions):
-        env.process(session((i * 2654435761) & 0x7FFFFFFF))
-    env.run()
-    return env._seq
-
-
 def _best_of(fn: Callable[[], tuple[float, dict]], repeats: int
              ) -> tuple[float, float, dict]:
     """Run ``fn`` ``repeats`` times; return (best rate, wall, detail)."""
@@ -194,39 +150,6 @@ def bench_sim(n_items: int = 3000, repeats: int = 3) -> BenchSample:
     rate, wall, detail = _best_of(once, repeats)
     return BenchSample("sim_events_per_sec", "events/s", rate, wall,
                        repeats, detail)
-
-
-def bench_sim_wheel(sessions: int = 20000, cycles: int = 4,
-                    repeats: int = 3) -> BenchSample:
-    """Events/sec of the serve-shaped workload on the event wheel.
-
-    The same workload is timed on both kernels (interleaved, best of
-    ``repeats`` each) so the recorded speedup is a matched-workload
-    comparison, not a cross-workload one.  Fire order is identical by
-    the determinism contract; only the wall clock differs.
-    """
-    _serve_shape_workload(512, 2, "wheel")   # warm both kernels
-    _serve_shape_workload(512, 2, "heap")
-
-    best = {"wheel": 0.0, "heap": 0.0}
-    wall = {"wheel": float("inf"), "heap": float("inf")}
-    events = 0
-    for _ in range(repeats):
-        for kernel in ("wheel", "heap"):
-            t0 = time.perf_counter()
-            events = _serve_shape_workload(sessions, cycles, kernel)
-            dt = time.perf_counter() - t0
-            rate = events / dt if dt > 0 else float("inf")
-            if rate > best[kernel]:
-                best[kernel], wall[kernel] = rate, dt
-    return BenchSample(
-        "sim_wheel_events_per_sec", "events/s", best["wheel"],
-        wall["wheel"], repeats,
-        {"scheduler": "wheel", "sessions": sessions, "cycles": cycles,
-         "events": events,
-         "heap_events_per_sec": best["heap"],
-         "speedup_vs_heap": (best["wheel"] / best["heap"]
-                             if best["heap"] > 0 else float("inf"))})
 
 
 def bench_fluid(requests: int = 1_000_000,
@@ -329,10 +252,8 @@ def bench_serve(requests: int = 80, rate: float = 60.0,
 #: modes measure rates, so their numbers are directly comparable.
 _MODES: dict[str, dict[str, int]] = {
     "full": {"sim_items": 4000, "forwards": 12, "requests": 80,
-             "wheel_sessions": 20000, "wheel_cycles": 4,
              "fluid_requests": 1_000_000},
     "smoke": {"sim_items": 1200, "forwards": 4, "requests": 32,
-              "wheel_sessions": 4000, "wheel_cycles": 2,
               "fluid_requests": 200_000},
 }
 
@@ -345,8 +266,6 @@ def run_suite(mode: str = "full") -> dict[str, BenchSample]:
     size = _MODES[mode]
     samples = [
         bench_sim(n_items=size["sim_items"]),
-        bench_sim_wheel(sessions=size["wheel_sessions"],
-                        cycles=size["wheel_cycles"]),
         bench_forward("fp32", forwards=size["forwards"]),
         bench_forward("fp16", forwards=size["forwards"]),
         bench_serve(requests=size["requests"]),

@@ -44,17 +44,13 @@ class NCSw:
     (no session) adds zero overhead and changes no results.
     """
 
-    def __init__(self, obs: Optional["ObsSession"] = None,
-                 scheduler: Optional[str] = None) -> None:
+    def __init__(self, obs: Optional["ObsSession"] = None) -> None:
         self._sources: dict[str, SourceImage] = {}
         self._targets: dict[str, TargetDevice] = {}
-        #: Scheduler kernel ("heap"/"wheel") for run Environments;
-        #: None defers to the REPRO_SIM_SCHEDULER env var.
-        self.scheduler = scheduler
         self.obs = obs
 
     def _new_environment(self) -> Environment:
-        env = Environment(scheduler=self.scheduler)
+        env = Environment()
         if self.obs is not None:
             self.obs.attach(env)
         return env

@@ -51,7 +51,6 @@ class InferenceServer:
                  max_redirects: int = 1,
                  ewma_alpha: float = 0.2,
                  warmup: int = 0,
-                 scheduler: Optional[str] = None,
                  obs=None) -> None:
         if admission not in ADMISSION_POLICIES:
             raise FrameworkError(
@@ -72,10 +71,6 @@ class InferenceServer:
         self.max_redirects = max_redirects
         self.ewma_alpha = ewma_alpha
         self.warmup = warmup
-        #: Scheduler kernel for the run's Environment ("heap"/"wheel");
-        #: None defers to the REPRO_SIM_SCHEDULER env var.  Results are
-        #: byte-identical across kernels (the determinism contract).
-        self.scheduler = scheduler
         self.obs = obs
         self._targets: dict[str, TargetDevice] = {}
 
@@ -94,7 +89,7 @@ class InferenceServer:
         requests = workload.requests(
             num_requests, deadline_s=self.deadline_seconds)
 
-        env = Environment(scheduler=self.scheduler)
+        env = Environment()
         if self.obs is not None:
             self.obs.attach(env)
 

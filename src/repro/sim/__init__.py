@@ -11,12 +11,10 @@ produce identical traces.
 """
 
 from repro.sim.core import (Environment, Event, Process, Timeout,
-                            Interrupt, CANCELLED, SCHEDULERS,
-                            SCHEDULER_ENV_VAR)
+                            Interrupt, CANCELLED)
 from repro.sim.resources import Resource, PriorityResource, Store
 from repro.sim.channel import Channel
 from repro.sim.monitor import Monitor, TraceRecorder
-from repro.sim.wheel import CalendarQueue
 
 __all__ = [
     "Environment",
@@ -25,9 +23,6 @@ __all__ = [
     "Timeout",
     "Interrupt",
     "CANCELLED",
-    "SCHEDULERS",
-    "SCHEDULER_ENV_VAR",
-    "CalendarQueue",
     "Resource",
     "PriorityResource",
     "Store",

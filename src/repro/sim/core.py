@@ -2,8 +2,10 @@
 
 The design follows the classic process-interaction style: a *process* is
 a Python generator that yields :class:`Event` objects; the
-:class:`Environment` owns a priority queue of ``(time, priority, seq)``
-keys and resumes processes as their awaited events fire.
+:class:`Environment` owns a single binary heap keyed by ``(time,
+priority, seq)`` and resumes processes as their awaited events fire.
+Cancellation is lazy: a cancelled entry stays in the heap, inert,
+until it is popped or the heap is compacted.
 
 Determinism contract: two events scheduled for the same simulated time
 and priority fire in the order they were scheduled (``seq`` is a
@@ -21,13 +23,10 @@ implementation, which the replay tests assert.
 
 from __future__ import annotations
 
-import os
-from bisect import insort
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim.wheel import CalendarQueue
 
 #: Default event priority. Lower values fire earlier at equal timestamps.
 NORMAL = 1
@@ -36,11 +35,6 @@ URGENT = 0
 
 PENDING = object()  #: sentinel: event value not yet set
 CANCELLED = object()  #: sentinel: scheduled event withdrawn via cancel()
-
-#: Environment variable overriding the default scheduler kernel, so an
-#: unmodified test-suite or CLI campaign can run against the wheel.
-SCHEDULER_ENV_VAR = "REPRO_SIM_SCHEDULER"
-SCHEDULERS = ("heap", "wheel")
 
 
 class Event:
@@ -113,15 +107,7 @@ class Event:
         self._value = value
         env = self.env
         env._seq = seq = env._seq + 1
-        wheel = env._wheel
-        if wheel is None:
-            heappush(env._queue, (env._now, NORMAL, seq, self))
-        elif env._now == wheel._time:
-            # Inlined wheel now-path: this is the hottest schedule
-            # site in the kernel and the method call is measurable.
-            wheel._normal.append(self)
-        else:
-            wheel.push(env._now, NORMAL, seq, self)
+        heappush(env._queue, (env._now, NORMAL, seq, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -139,13 +125,7 @@ class Event:
         self._value = exception
         env = self.env
         env._seq = seq = env._seq + 1
-        wheel = env._wheel
-        if wheel is None:
-            heappush(env._queue, (env._now, NORMAL, seq, self))
-        elif env._now == wheel._time:
-            wheel._normal.append(self)
-        else:
-            wheel.push(env._now, NORMAL, seq, self)
+        heappush(env._queue, (env._now, NORMAL, seq, self))
         return self
 
     def trigger(self, event: "Event") -> None:
@@ -185,35 +165,7 @@ class Timeout(Event):
         self._processed = False
         self.delay = delay
         env._seq = seq = env._seq + 1
-        wheel = env._wheel
-        if wheel is None:
-            heappush(env._queue, (env._now + delay, NORMAL, seq, self))
-        else:
-            # Inlined future push: timeouts are the hot future path
-            # and the extra method frame is measurable at depth.
-            # Mirrors CalendarQueue.push for NORMAL priority.
-            t = env._now + delay
-            d = t - wheel._base
-            if t > wheel._time and d >= 0.0:
-                idx = int(d * wheel._inv_width)
-                if idx == 0:
-                    insort(wheel._active, (t, NORMAL, seq, self),
-                           wheel._head)
-                    wheel._bucket_items += 1
-                    if (len(wheel._active) - wheel._head
-                            > wheel._shrink_at):
-                        wheel._maybe_shrink()
-                elif idx < wheel._nbuckets:
-                    wheel._buckets[
-                        (wheel._cursor + idx) % wheel._nbuckets
-                    ].append((t, NORMAL, seq, self))
-                    wheel._bucket_items += 1
-                else:
-                    heappush(wheel._overflow, (t, NORMAL, seq, self))
-            elif t == wheel._time:
-                wheel._normal.append(self)
-            else:
-                wheel.push(t, NORMAL, seq, self)
+        heappush(env._queue, (env._now + delay, NORMAL, seq, self))
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay}>"
@@ -232,13 +184,7 @@ class Initialize(Event):
         self._defused = False
         self._processed = False
         env._seq = seq = env._seq + 1
-        wheel = env._wheel
-        if wheel is None:
-            heappush(env._queue, (env._now, URGENT, seq, self))
-        elif env._now == wheel._time:
-            wheel._urgent.append(self)
-        else:
-            wheel.push(env._now, URGENT, seq, self)
+        heappush(env._queue, (env._now, URGENT, seq, self))
 
 
 class Interrupt(Exception):
@@ -313,25 +259,13 @@ class Process(Event):
                 self._ok = True
                 self._value = exc.value
                 env._seq = seq = env._seq + 1
-                wheel = env._wheel
-                if wheel is None:
-                    heappush(env._queue, (env._now, NORMAL, seq, self))
-                elif env._now == wheel._time:
-                    wheel._normal.append(self)
-                else:
-                    wheel.push(env._now, NORMAL, seq, self)
+                heappush(env._queue, (env._now, NORMAL, seq, self))
                 break
             except BaseException as exc:
                 self._ok = False
                 self._value = exc
                 env._seq = seq = env._seq + 1
-                wheel = env._wheel
-                if wheel is None:
-                    heappush(env._queue, (env._now, NORMAL, seq, self))
-                elif env._now == wheel._time:
-                    wheel._normal.append(self)
-                else:
-                    wheel.push(env._now, NORMAL, seq, self)
+                heappush(env._queue, (env._now, NORMAL, seq, self))
                 break
 
             if not isinstance(next_event, Event):
@@ -414,31 +348,17 @@ class Condition(Event):
 class Environment:
     """Execution environment: simulated clock plus the event queue.
 
-    ``scheduler`` selects the queue kernel: ``"heap"`` (the default,
-    a binary heap) or ``"wheel"`` (the calendar queue in
-    :mod:`repro.sim.wheel`).  Both obey the same determinism
-    contract — fire order is exactly ascending ``(time, priority,
-    seq)`` — so models are byte-identical across kernels; the wheel
-    is simply faster on schedule-at-now-heavy workloads.  When
-    ``scheduler`` is None the :data:`SCHEDULER_ENV_VAR` environment
-    variable picks the kernel (default ``"heap"``), which lets an
-    unmodified test-suite or campaign run against the wheel.
+    The queue is a single binary heap of ``(time, priority, seq,
+    event)`` entries, so events fire in exactly ascending ``(time,
+    priority, seq)`` order.  Cancelled entries are deleted lazily:
+    they stay in the heap, inert, until they surface or until
+    :meth:`compact` sweeps them out.
     """
 
-    def __init__(self, initial_time: float = 0.0,
-                 scheduler: Optional[str] = None) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = 0
-        if scheduler is None:
-            scheduler = os.environ.get(SCHEDULER_ENV_VAR, "heap")
-        if scheduler not in SCHEDULERS:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r}; expected one of "
-                f"{', '.join(SCHEDULERS)}")
-        self.scheduler = scheduler
-        self._wheel: Optional[CalendarQueue] = (
-            CalendarQueue(self._now) if scheduler == "wheel" else None)
         #: Scheduled-but-cancelled events still occupying the queue;
         #: compacted away once they outnumber the live entries.
         self._cancelled = 0
@@ -485,10 +405,7 @@ class Environment:
                  delay: float = 0.0) -> None:
         """Place *event* on the queue to fire after *delay*."""
         self._seq = seq = self._seq + 1
-        if self._wheel is None:
-            heappush(self._queue, (self._now + delay, priority, seq, event))
-        else:
-            self._wheel.push(self._now + delay, priority, seq, event)
+        heappush(self._queue, (self._now + delay, priority, seq, event))
 
     def cancel(self, event: Event) -> None:
         """Withdraw a scheduled event: its callbacks never run and its
@@ -512,48 +429,32 @@ class Environment:
         event._defused = True
         event.callbacks = None
         self._cancelled += 1
-        size = (len(self._queue) if self._wheel is None
-                else len(self._wheel))
-        if self._cancelled * 2 > size:
+        if self._cancelled * 2 > len(self._queue):
             self.compact()
 
     def compact(self) -> int:
         """Drop cancelled entries from the queue; returns the number
         removed.  Called automatically by :meth:`cancel` once
         cancelled entries exceed half the queue."""
-        if self._wheel is None:
-            kept = [entry for entry in self._queue
-                    if entry[3]._value is not CANCELLED]
-            removed = len(self._queue) - len(kept)
-            if removed:
-                heapify(kept)
-                # In-place: the run loop holds a reference to the list.
-                self._queue[:] = kept
-        else:
-            removed = self._wheel.compact(
-                lambda ev: ev._value is CANCELLED)
+        kept = [entry for entry in self._queue
+                if entry[3]._value is not CANCELLED]
+        removed = len(self._queue) - len(kept)
+        if removed:
+            heapify(kept)
+            # In-place: the run loop holds a reference to the list.
+            self._queue[:] = kept
         self._cancelled = 0
         return removed
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if the queue is empty."""
-        if self._wheel is None:
-            return self._queue[0][0] if self._queue else float("inf")
-        t = self._wheel.peek_time()
-        return t if t is not None else float("inf")
+        return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
         """Process the single next event."""
-        if self._wheel is None:
-            if not self._queue:
-                raise DeadlockError("event queue is empty")
-            self._now, _, _, event = heappop(self._queue)
-        else:
-            item = self._wheel.pop()
-            if item is None:
-                raise DeadlockError("event queue is empty")
-            self._now = item[0]
-            event = item[3]
+        if not self._queue:
+            raise DeadlockError("event queue is empty")
+        self._now, _, _, event = heappop(self._queue)
         event._processed = True
         callbacks = event.callbacks
         if callbacks is not None:
@@ -584,9 +485,6 @@ class Environment:
                     raise ValueError(
                         f"until={stop_at} is in the past (now={self._now})")
 
-        if self._wheel is not None:
-            return self._run_wheel(stop_event, stop_at)
-
         # The loop below is :meth:`step` inlined (minus the empty-queue
         # guard, which the while condition covers): one Python frame per
         # event instead of two matters at millions of events per run.
@@ -613,105 +511,6 @@ class Environment:
                     self._now = stop_at
                     return None
                 self._now, _, _, event = pop(queue)
-                event._processed = True
-                callbacks = event.callbacks
-                if callbacks is not None:
-                    event.callbacks = None
-                    for callback in callbacks:
-                        callback(event)
-                if not event._ok and not event._defused:
-                    raise event._value
-
-        if stop_event is not None:
-            if not stop_event.triggered:
-                raise DeadlockError(
-                    "simulation ended before the awaited event fired")
-            if not stop_event.ok:
-                raise stop_event.value
-            return stop_event.value
-        if stop_at != float("inf"):
-            self._now = stop_at
-        return None
-
-    def _run_wheel(self, stop_event: Optional[Event],
-                   stop_at: float) -> Any:
-        """:meth:`run` against the calendar-queue kernel.
-
-        The hot loop pops bare events straight off the wheel's
-        now-deques — no key tuple, no comparisons — and only drops
-        into the general pop when the wheel says ordering demands it.
-        Fire order is byte-identical to the heap loop.
-        """
-        wheel = self._wheel
-        if stop_at == float("inf"):
-            # Drain / run-until-event: no per-event horizon check.
-            urgent = wheel._urgent
-            normal = wheel._normal
-            while stop_event is None or not stop_event._processed:
-                if wheel._general:
-                    item = wheel._pop_general()
-                    if item is None:
-                        break
-                    self._now = item[0]
-                    event = item[3]
-                elif urgent:
-                    event = urgent.popleft()
-                elif normal:
-                    event = normal.popleft()
-                else:
-                    # Singleton-advance inline: a lone NORMAL event at
-                    # the cursor bucket's head (the common timeout
-                    # shape) fires directly, skipping the _advance
-                    # frame and the deque round-trip.  Runs of >1
-                    # event, URGENT/exotic heads, and bucket/overflow
-                    # transitions take the general _advance.
-                    b = wheel._active
-                    h = wheel._head
-                    ln = len(b)
-                    if h < ln:
-                        item = b[h]
-                        h1 = h + 1
-                        if item[1] == 1 and (h1 == ln
-                                             or b[h1][0] != item[0]):
-                            wheel._bucket_items -= 1
-                            if h1 == ln:
-                                del b[:]
-                                wheel._head = 0
-                            else:
-                                wheel._head = h1
-                            self._now = wheel._time = item[0]
-                            event = item[3]
-                        else:
-                            if not wheel._advance():
-                                break
-                            self._now = wheel._time
-                            continue
-                    else:
-                        if not wheel._advance():
-                            break
-                        self._now = wheel._time
-                        continue
-                event._processed = True
-                callbacks = event.callbacks
-                if callbacks is not None:
-                    event.callbacks = None
-                    for callback in callbacks:
-                        callback(event)
-                if not event._ok and not event._defused:
-                    raise event._value
-        else:
-            while True:
-                if stop_event is not None and stop_event._processed:
-                    break
-                t = wheel.peek_time()
-                if t is None:
-                    break
-                if t > stop_at:
-                    self._now = stop_at
-                    return None
-                item = wheel.pop()
-                self._now = item[0]
-                event = item[3]
                 event._processed = True
                 callbacks = event.callbacks
                 if callbacks is not None:

@@ -1,43 +1,43 @@
-"""Dual-kernel equivalence and lazy-delete compaction.
+"""Lazy-delete cancellation and fire order of the DES kernel.
 
-The event wheel (:class:`repro.sim.wheel.CalendarQueue`) is a drop-in
-replacement for the binary heap: same ``(time, priority, seq)`` fire
-order, byte for byte.  The property test here drives one randomized
-schedule — timeouts, store puts/gets, cancels, exotic priorities,
-same-instant ties — through both kernels and asserts the traces and
-final store states are identical.  The compaction tests pin the
-lazy-delete contract: cancelling most of a deep pending set keeps the
-queue (and the store waiter lists) bounded instead of accumulating
-tombstones.
+The kernel is one binary heap keyed by ``(time, priority, seq)``.
+The property test here drives randomized schedules — timeouts, store
+puts/gets, cancels, exotic priorities, same-instant ties — and asserts
+that same-program replay is identical and that events fire in exactly
+ascending ``(time, priority, seq)`` order.  The compaction tests pin
+the lazy-delete contract: cancelling most of a deep pending set keeps
+the queue (and the store waiter lists) bounded instead of
+accumulating tombstones.
 """
+
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import (
-    CANCELLED,
-    SCHEDULER_ENV_VAR,
-    SCHEDULERS,
-    Environment,
-    Store,
-)
-
-KERNELS = ("heap", "wheel")
+from repro.sim import CANCELLED, Environment, Store
+from repro.sim import core
 
 #: One program step: (opcode, delay-in-eighths, operand).
 _OP = st.tuples(st.integers(0, 6), st.integers(0, 24),
                 st.integers(0, 5))
 
 
-def _run_program(ops, scheduler):
+def _run_program(ops, fired=None):
     """Interpret *ops* on a fresh kernel; returns (trace, state).
 
     The trace appends one entry per fired waiter in callback order,
     so comparing traces compares the kernel's fire order exactly.
+    When *fired* is a list the program is driven one
+    :meth:`Environment.step` at a time.  Every heap push is numbered
+    in call order, independently of the kernel's ``seq``; before each
+    step the ``(time, priority, push number)`` key of the entry about
+    to fire and the smallest such key over every pending entry are
+    appended to *fired* as a pair.
     """
-    env = Environment(scheduler=scheduler)
+    env = Environment()
     store = Store(env, capacity=3)
     trace = []
     timeouts = []
@@ -82,8 +82,30 @@ def _run_program(ops, scheduler):
                 yield env.timeout(d / 2.0)   # advance the clock
         trace.append(("driver-done", round(env.now, 9), None))
 
-    env.process(driver())
-    env.run()
+    if fired is None:
+        env.process(driver())
+        env.run()
+    else:
+        pushed = {}
+        numbers = count()
+        heappush = core.heappush
+
+        def numbered_push(queue, entry):
+            pushed[id(entry[3])] = next(numbers)
+            heappush(queue, entry)
+
+        def key(entry):
+            return entry[0], entry[1], pushed[id(entry[3])]
+
+        core.heappush = numbered_push
+        try:
+            env.process(driver())
+            while env._queue:
+                fired.append((key(env._queue[0]),
+                              min(map(key, env._queue))))
+                env.step()
+        finally:
+            core.heappush = heappush
     state = (list(store.items), env._seq, round(env.now, 9),
              sum(1 for g in gets if g._value is CANCELLED))
     return trace, state
@@ -91,19 +113,27 @@ def _run_program(ops, scheduler):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_OP, min_size=1, max_size=40))
-def test_property_dual_kernel_identical(ops):
-    """One schedule, two kernels, identical fire order and state."""
-    heap_trace, heap_state = _run_program(ops, "heap")
-    wheel_trace, wheel_state = _run_program(ops, "wheel")
-    assert heap_trace == wheel_trace
-    assert heap_state == wheel_state
+def test_property_replay_identical_and_fire_order_ascending(ops):
+    """Same program, same trace and state; every step fires the
+    pending entry that is first by ``(time, priority)`` and then by
+    scheduling order, so time never runs backwards and equal
+    ``(time, priority)`` entries fire first-scheduled first."""
+    trace, state = _run_program(ops)
+    assert _run_program(ops) == (trace, state)
+    fired = []
+    assert _run_program(ops, fired) == (trace, state)
+    keys = [key for key, _ in fired]
+    assert all(key == smallest for key, smallest in fired)
+    assert [t for t, _, _ in keys] == sorted(t for t, _, _ in keys)
+    for a, b in zip(keys, keys[1:]):
+        if a[:2] == b[:2]:
+            assert a[2] < b[2]
 
 
-@pytest.mark.parametrize("scheduler", KERNELS)
-def test_cancel_heavy_timeouts_stay_compacted(scheduler):
+def test_cancel_heavy_timeouts_stay_compacted():
     """The serve pattern — most deadline timers are cancelled by
     completion — must not accumulate tombstones in the queue."""
-    env = Environment(scheduler=scheduler)
+    env = Environment()
     fired = []
 
     def main():
@@ -113,9 +143,7 @@ def test_cancel_heavy_timeouts_stay_compacted(scheduler):
             env.cancel(t)
         # Lazy delete compacts once tombstones outnumber live
         # entries: the 5000 cancelled timers must not linger.
-        depth = (len(env._queue) if env._wheel is None
-                 else len(env._wheel))
-        assert depth < 100
+        assert len(env._queue) < 100
         fired.append((yield survivor))
 
     env.run(until=env.process(main()))
@@ -123,9 +151,29 @@ def test_cancel_heavy_timeouts_stay_compacted(scheduler):
     assert env.now == 500.0
 
 
-@pytest.mark.parametrize("scheduler", KERNELS)
-def test_cancelled_timeout_never_fires(scheduler):
-    env = Environment(scheduler=scheduler)
+def test_compaction_keeps_fire_order():
+    """Survivors of a compaction still fire in time order."""
+    env = Environment()
+    fired = []
+
+    def waiter(ev):
+        fired.append((yield ev))
+
+    timers = [env.timeout(1.0 + (i * 7919 % 1000) * 1e-3, value=i)
+              for i in range(1000)]
+    for i, timer in enumerate(timers):
+        if i % 10:
+            env.cancel(timer)
+        else:
+            env.process(waiter(timer))
+    assert len(env._queue) < 300
+    env.run()
+    assert fired == sorted(range(0, 1000, 10),
+                           key=lambda i: timers[i].delay)
+
+
+def test_cancelled_timeout_never_fires():
+    env = Environment()
     fired = []
 
     def waiter(ev):
@@ -143,11 +191,10 @@ def test_cancelled_timeout_never_fires(scheduler):
     assert fired == ["kept"]
 
 
-@pytest.mark.parametrize("scheduler", KERNELS)
-def test_cancel_heavy_store_gets_stay_compacted(scheduler):
+def test_cancel_heavy_store_gets_stay_compacted():
     """Store-side lazy delete: cancelled getters are tombstoned in
     O(1) and compacted away, and a cancelled get never steals."""
-    env = Environment(scheduler=scheduler)
+    env = Environment()
     store = Store(env)
     gets = [store.get() for _ in range(4000)]
     for g in gets[1:]:
@@ -171,27 +218,10 @@ def test_store_cancel_rejects_foreign_events():
         store.cancel(env.event())
 
 
-def test_scheduler_registry_and_validation():
-    assert set(SCHEDULERS) == {"heap", "wheel"}
-    with pytest.raises(SimulationError):
-        Environment(scheduler="splay-tree")
-
-
-def test_scheduler_env_var_default(monkeypatch):
-    monkeypatch.setenv(SCHEDULER_ENV_VAR, "wheel")
-    assert Environment()._wheel is not None
-    monkeypatch.setenv(SCHEDULER_ENV_VAR, "heap")
-    assert Environment()._wheel is None
-    # Explicit argument wins over the environment.
-    monkeypatch.setenv(SCHEDULER_ENV_VAR, "heap")
-    assert Environment(scheduler="wheel")._wheel is not None
-
-
-@pytest.mark.parametrize("scheduler", KERNELS)
-def test_far_future_and_past_events_fire_in_order(scheduler):
-    """Overflow heap coverage: events far beyond the wheel horizon
-    and same-instant re-schedules keep global order."""
-    env = Environment(scheduler=scheduler)
+def test_far_future_and_past_events_fire_in_order():
+    """Events scheduled far apart in time fire in time order, not
+    scheduling order."""
+    env = Environment()
     fired = []
 
     def waiter(tag, ev):
