@@ -99,17 +99,14 @@ class KernelLauncher:
             per_shave, fp16=kernel.fp16, efficiency=kernel.efficiency)
         seconds = self.chip.clock.to_seconds(cycles)
 
-        for i in range(used):
-            self.chip.islands.power_on(f"shave{i}")
-        self.chip.islands.power_on("cmx")
+        islands = (*(f"shave{i}" for i in range(used)), "cmx")
+        self.chip.islands.power_on(*islands)
         try:
             yield env.timeout(seconds)
             for i in range(used):
                 self.chip.shaves[i].record_execution(cycles)
         finally:
-            for i in range(used):
-                self.chip.islands.power_off(f"shave{i}")
-            self.chip.islands.power_off("cmx")
+            self.chip.islands.power_off(*islands)
 
         profile = self.profiles.setdefault(
             kernel.name, KernelProfile(kernel.name))

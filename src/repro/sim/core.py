@@ -388,6 +388,23 @@ class Environment:
         """Create an event firing after *delay* time units."""
         return Timeout(self, delay, value)
 
+    def timeout_at(self, when: float, value: Any = None) -> Event:
+        """Create an event firing at the absolute simulated time *when*.
+
+        For callers that accumulate a fire time themselves: in floating
+        point ``now + (s1 + s2)`` need not equal ``(now + s1) + s2``, so
+        landing exactly where consecutive timeouts would have landed
+        takes the caller's own left-to-right sum, scheduled here as is.
+        """
+        if not when >= self._now:
+            raise ValueError(f"when={when} is in the past (now={self._now})")
+        event = Event(self)
+        event._ok = True
+        event._value = value
+        self._seq = seq = self._seq + 1
+        heappush(self._queue, (when, NORMAL, seq, event))
+        return event
+
     def process(self, generator: Generator[Event, Any, Any]) -> Process:
         """Start a new process from *generator*."""
         return Process(self, generator)

@@ -4,6 +4,13 @@ Assembles the component models — SHAVE array, CMX, DDR, DMA, SIPP,
 power islands — and exposes the operation the NCS device model needs:
 run one compiled-graph inference as a DES process, with per-layer
 timing, SHAVE utilisation accounting and power-island gating.
+
+Nothing observes the layer boundaries inside an inference, so an
+inference is simulated as a single completion event.  The per-layer
+work is folded once per (chip, graph) into a :class:`_GraphPlan`: the
+layer seconds, the per-SHAVE and DMA totals and the islands to gate.
+The completion lands at ``now + s1 + ... + sn`` summed left to right,
+the exact float that stepping the layers one timeout at a time reached.
 """
 
 from __future__ import annotations
@@ -42,6 +49,24 @@ class Myriad2Config:
                 f"Myriad 2 has 1-12 SHAVEs, got {self.num_shaves}")
 
 
+@dataclass(frozen=True)
+class _GraphPlan:
+    """One inference of *graph* on one chip, folded into totals."""
+
+    #: The graph the plan was built for; the memo compares identity.
+    graph: CompiledGraph
+    #: Per-layer seconds in layer order (NCAPI ``TIME_TAKEN``).
+    per_layer: dict[str, float]
+    #: Layer seconds in execution order, summed at run time.
+    seconds: tuple[float, ...]
+    #: ``(busy_cycles, kernels_run)`` credited to SHAVE i.
+    shave_totals: tuple[tuple[int, int], ...]
+    dma_transfers: int
+    dma_bytes: int
+    #: Islands ungated for the inference's duration.
+    islands: tuple[str, ...]
+
+
 class Myriad2:
     """One Myriad 2 VPU bound to a simulation environment."""
 
@@ -71,6 +96,8 @@ class Myriad2:
         self.inferences_completed = 0
         self._graph_handles: dict[int, int] = {}
         self._next_handle = 1
+        # One slot: a stick holds one graph at a time.
+        self._plan: Optional[_GraphPlan] = None
 
     # -- graph lifecycle ----------------------------------------------------
     def allocate_graph(self, graph: CompiledGraph) -> int:
@@ -113,38 +140,63 @@ class Myriad2:
         """
         return self.env.process(self._inference(graph))
 
+    def _plan_for(self, graph: CompiledGraph) -> _GraphPlan:
+        """The memoised plan of *graph*; rebuilt when another runs."""
+        plan = self._plan
+        if plan is not None and plan.graph is graph:
+            return plan
+        used = min(graph.num_shaves, len(self.shaves))
+        seconds = tuple(self.clock.to_seconds(sched.total_cycles)
+                        for sched in graph.layers)
+        busy = [0] * used
+        kernels = [0] * used
+        for sched in graph.layers:
+            for i in range(min(sched.assignment.shaves_used, used)):
+                busy[i] += sched.timing.compute_cycles
+                kernels[i] += 1
+        spilled = [sched.tile_plan for sched in graph.layers
+                   if not sched.tile_plan.fits_cmx]
+        plan = _GraphPlan(
+            graph=graph,
+            per_layer={sched.name: s
+                       for sched, s in zip(graph.layers, seconds)},
+            seconds=seconds,
+            shave_totals=tuple(zip(busy, kernels)),
+            dma_transfers=len(spilled),
+            dma_bytes=sum(t.ddr_traffic_bytes for t in spilled),
+            islands=(*(f"shave{i}" for i in range(used)),
+                     "cmx", "ddr_if"))
+        self._plan = plan
+        return plan
+
     def _inference(self, graph: CompiledGraph
                    ) -> Generator[Event, None, dict[str, float]]:
+        """Wait for the SHAVE array, gate the islands on, complete in
+        one event, credit the SHAVE and DMA totals, gate them off.
+
+        The accounting is credited at completion, so a run stopped
+        mid-inference counts nothing of that inference (the islands
+        are still gated off if the process is torn down).
+        """
+        plan = self._plan_for(graph)
         with self._shave_array.request() as req:
             yield req
-            used = min(graph.num_shaves, len(self.shaves))
-            for i in range(used):
-                self.islands.power_on(f"shave{i}")
-            self.islands.power_on("cmx")
-            self.islands.power_on("ddr_if")
-
-            per_layer: dict[str, float] = {}
+            self.islands.power_on(*plan.islands)
             try:
-                for sched in graph.layers:
-                    seconds = self.clock.to_seconds(sched.total_cycles)
-                    yield self.env.timeout(seconds)
-                    per_layer[sched.name] = seconds
-                    share = min(sched.assignment.shaves_used, used)
-                    for i in range(share):
-                        self.shaves[i].record_execution(
-                            sched.timing.compute_cycles)
-                    if not sched.tile_plan.fits_cmx:
-                        self.dma.transfers += 1
-                        self.dma.bytes_moved += (
-                            sched.tile_plan.ddr_traffic_bytes)
+                done = self.env.now
+                for seconds in plan.seconds:
+                    done += seconds
+                yield self.env.timeout_at(done)
+                for shave, (busy, kernels) in zip(self.shaves,
+                                                  plan.shave_totals):
+                    shave.record_execution(busy, kernels)
+                self.dma.transfers += plan.dma_transfers
+                self.dma.bytes_moved += plan.dma_bytes
             finally:
-                for i in range(used):
-                    self.islands.power_off(f"shave{i}")
-                self.islands.power_off("cmx")
-                self.islands.power_off("ddr_if")
+                self.islands.power_off(*plan.islands)
             self.inferences_completed += 1
             self._emit("inference_done", graph=graph.name)
-            return per_layer
+            return dict(plan.per_layer)
 
     # -- misc ----------------------------------------------------------------------
     def _emit(self, action: str, **detail) -> None:

@@ -112,12 +112,12 @@ class ShaveProcessor:
         sau = work.element_ops / 4.0
         return max(vau, sau)
 
-    def record_execution(self, cycles: int) -> None:
-        """Account a completed kernel."""
+    def record_execution(self, cycles: int, kernels: int = 1) -> None:
+        """Account *kernels* completed kernels taking *cycles* in total."""
         if cycles < 0:
             raise SimulationError("negative cycle count")
         self.busy_cycles += cycles
-        self.kernels_run += 1
+        self.kernels_run += kernels
 
     def utilization(self, total_cycles: int) -> float:
         """Busy fraction over a window of *total_cycles*."""

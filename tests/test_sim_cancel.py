@@ -233,3 +233,61 @@ def test_far_future_and_past_events_fire_in_order():
     env.process(waiter("mid", env.timeout(42.0)))
     env.run()
     assert fired == [("near", 0.001), ("mid", 42.0), ("far", 1e6)]
+
+
+def test_timeout_at_fires_exactly_at_when():
+    """The absolute time is used as given, not rebuilt as now + delay."""
+    env = Environment(initial_time=0.1)
+    when = 0.1 + 0.2 + 0.3   # != 0.1 + (0.2 + 0.3) in floating point
+    assert when != 0.1 + (0.2 + 0.3)
+    fired = []
+
+    def waiter():
+        fired.append((yield env.timeout_at(when, value="at")))
+        fired.append(env.now)
+
+    env.run(until=env.process(waiter()))
+    assert fired == ["at", when]
+
+
+def test_timeout_at_rejects_past_times():
+    env = Environment(initial_time=5.0)
+    with pytest.raises(ValueError):
+        env.timeout_at(4.999)
+    with pytest.raises(ValueError):
+        env.timeout_at(float("nan"))
+    env.timeout_at(5.0)   # the current instant is allowed
+
+
+def test_timeout_at_ties_fire_in_scheduling_order():
+    env = Environment()
+    fired = []
+
+    def waiter(tag, ev):
+        yield ev
+        fired.append(tag)
+
+    env.process(waiter("relative", env.timeout(2.0)))
+    env.process(waiter("absolute", env.timeout_at(2.0)))
+    env.process(waiter("relative-late", env.timeout(2.0)))
+    env.process(waiter("earlier", env.timeout_at(1.0)))
+    env.run()
+    assert fired == ["earlier", "relative", "absolute", "relative-late"]
+
+
+def test_cancelled_timeout_at_never_fires():
+    env = Environment()
+    fired = []
+
+    def waiter(ev):
+        fired.append((yield ev))
+
+    doomed = env.timeout_at(1.0, value="doomed")
+    env.process(waiter(doomed))
+    kept = env.timeout_at(2.0, value="kept")
+    env.process(waiter(kept))
+    env.run(until=0.5)
+    env.cancel(doomed)
+    env.run()
+    assert fired == ["kept"]
+    assert env.now == 2.0

@@ -355,6 +355,30 @@ def test_unknown_island():
         p.power_on("gpu")
 
 
+def test_gating_several_islands_records_one_sample():
+    env = Environment()
+    batched, single = PowerIslands(env), PowerIslands(env)
+    names = ["shave0", "shave1", "cmx", "ddr_if"]
+    batched.power_on(*names)
+    for name in names:
+        single.power_on(name)
+    assert len(batched.monitor) == 2
+    assert batched.monitor.last == single.monitor.last
+    batched.power_on(*names)   # nothing changes, nothing recorded
+    assert len(batched.monitor) == 2
+    batched.power_off(*names)
+    for name in names:
+        single.power_off(name)
+    assert len(batched.monitor) == 3
+    assert batched.monitor.last == single.monitor.last
+    with pytest.raises(PowerError):
+        batched.power_on("shave0", "gpu")
+    with pytest.raises(PowerError):
+        batched.power_off("shave0", "always_on")
+    # A rejected call changes no island.
+    assert not batched.is_on("shave0")
+
+
 def test_energy_integration():
     env = Environment()
     p = PowerIslands(env)

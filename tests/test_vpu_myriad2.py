@@ -6,7 +6,7 @@ from repro.errors import AllocationError, SimulationError
 from repro.nn import get_model
 from repro.nn.weights import initialize_network
 from repro.sim import Environment, TraceRecorder
-from repro.vpu import Myriad2, Myriad2Config, compile_graph
+from repro.vpu import Myriad2, Myriad2Config, PowerIslands, compile_graph
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +37,8 @@ def test_inference_advances_clock_by_estimate(micro_graph):
     chip = Myriad2(env)
     chip.allocate_graph(micro_graph)
     done = env.run(until=chip.run_inference(micro_graph))
+    assert env.now == _sequential_end(
+        0.0, _layer_seconds(micro_graph, chip.config.freq_hz))
     assert env.now == pytest.approx(micro_graph.inference_seconds)
     assert chip.inferences_completed == 1
     # Per-layer times returned like NCAPI TIME_TAKEN.
@@ -136,3 +138,111 @@ def test_ddr_traffic_accounted_for_spilled_layers(micro_graph):
         assert chip.dma.bytes_moved > 0
     else:
         assert chip.dma.bytes_moved == 0
+
+
+def _sequential_end(start, seconds):
+    """``start + s1 + ... + sn`` added left to right, as layer-by-layer
+    stepping would advance the clock."""
+    t = start
+    for s in seconds:
+        t += s
+    return t
+
+
+def _layer_seconds(graph, freq_hz):
+    return [l.total_cycles / freq_hz for l in graph.layers]
+
+
+def test_inference_end_time_is_sequential_layer_sum(micro_graph):
+    seconds = _layer_seconds(micro_graph, Myriad2Config().freq_hz)
+    # A start time at which adding the whole-graph total in one step
+    # rounds differently from adding the layers one at a time.
+    offset = next(k * 0.001 for k in range(1, 10_000)
+                  if _sequential_end(k * 0.001, seconds)
+                  != k * 0.001 + sum(seconds))
+    env = Environment(initial_time=offset)
+    chip = Myriad2(env)
+    chip.allocate_graph(micro_graph)
+    env.run(until=chip.run_inference(micro_graph))
+    assert env.now == _sequential_end(offset, seconds)
+    assert env.now != offset + sum(seconds)
+
+
+def test_per_layer_report_is_cycles_over_clock_in_layer_order(micro_graph):
+    env = Environment()
+    chip = Myriad2(env)
+    chip.allocate_graph(micro_graph)
+    freq = chip.config.freq_hz
+    first = env.run(until=chip.run_inference(micro_graph))
+    second = env.run(until=chip.run_inference(micro_graph))
+    expected = {l.name: l.total_cycles / freq for l in micro_graph.layers}
+    assert first == expected
+    assert list(first) == [l.name for l in micro_graph.layers]
+    # Each inference reports its own dict; editing one leaves the next
+    # report untouched.
+    assert second == expected and second is not first
+    first.clear()
+    assert env.run(until=chip.run_inference(micro_graph)) == expected
+
+
+def test_shave_and_dma_accounting_matches_reference_loop(micro_graph):
+    n = 3
+    env = Environment()
+    chip = Myriad2(env)
+    chip.allocate_graph(micro_graph)
+
+    def proc():
+        for _ in range(n):
+            yield chip.run_inference(micro_graph)
+
+    env.run(until=env.process(proc()))
+    busy = [0] * len(chip.shaves)
+    kernels = [0] * len(chip.shaves)
+    transfers = bytes_moved = 0
+    used = min(micro_graph.num_shaves, len(chip.shaves))
+    for _ in range(n):
+        for sched in micro_graph.layers:
+            for i in range(min(sched.assignment.shaves_used, used)):
+                busy[i] += sched.timing.compute_cycles
+                kernels[i] += 1
+            if not sched.tile_plan.fits_cmx:
+                transfers += 1
+                bytes_moved += sched.tile_plan.ddr_traffic_bytes
+    assert [s.busy_cycles for s in chip.shaves] == busy
+    assert [s.kernels_run for s in chip.shaves] == kernels
+    assert chip.dma.transfers == transfers
+    assert chip.dma.bytes_moved == bytes_moved
+
+
+def test_island_energy_matches_one_island_at_a_time_reference(micro_graph):
+    env = Environment()
+    chip = Myriad2(env)
+    chip.allocate_graph(micro_graph)
+    windows = []
+
+    def proc():
+        for _ in range(3):
+            start = env.now
+            yield chip.run_inference(micro_graph)
+            windows.append((start, env.now))
+            yield env.timeout(0.004)
+
+    env.run(until=env.process(proc()))
+
+    ref_env = Environment()
+    ref = PowerIslands(ref_env)
+    ref.power_on("risc0")
+    names = [f"shave{i}" for i in range(micro_graph.num_shaves)]
+    names += ["cmx", "ddr_if"]
+    for start, end in windows:
+        ref_env.run(until=start)
+        for name in names:
+            ref.power_on(name)
+        ref_env.run(until=end)
+        for name in names:
+            ref.power_off(name)
+    ref_env.run(until=env.now)
+    assert chip.islands.energy_joules() == ref.energy_joules()
+    assert chip.islands.monitor.maximum() == ref.monitor.maximum()
+    assert (chip.islands.monitor.time_average()
+            == ref.monitor.time_average())
