@@ -27,7 +27,7 @@ from repro.mpi.stream import StreamWindow
 from repro.ncsw.faults import FailureEvent
 from repro.ncsw.targets import TargetDevice
 from repro.serve.batcher import DynamicBatcher
-from repro.serve.queue import BLOCK, AdmissionQueue
+from repro.serve.queue import BLOCK, REJECT_NEWEST, AdmissionQueue
 from repro.serve.router import Backend, Router
 from repro.serve.slo import ServeResult
 from repro.serve.workload import (
@@ -49,7 +49,7 @@ class HostRank:
                  on_resolve: Callable[["HostRank", Request], None],
                  *,
                  queue_depth: Optional[int] = 64,
-                 admission: str = "reject-newest",
+                 admission: str = REJECT_NEWEST,
                  max_batch_size: Optional[int] = None,
                  max_wait_s: float = 0.002,
                  max_redirects: int = 1,

@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 from repro.harness import figures
 from repro.harness.ascii_plot import bar_chart, line_chart
 from repro.harness.tables import render_comparison, render_figure_table
+from repro.serve.queue import POLICIES, REJECT_NEWEST
 
 _FIGURES: dict[str, tuple[str, Callable]] = {
     "fig6a": ("throughput per subset (batch 8)",
@@ -1443,8 +1444,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue-depth", type=int, default=64,
         help="admission queue bound (default 64)")
     serve_common.add_argument(
-        "--admission", default="reject-newest",
-        choices=["block", "shed-oldest", "reject-newest"],
+        "--admission", default=REJECT_NEWEST, choices=POLICIES,
         help="overload policy at the admission queue")
     serve_common.add_argument(
         "--route", default="round-robin",
@@ -1559,8 +1559,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue-depth", type=int, default=64,
         help="per-host admission queue bound (default 64)")
     cluster_common.add_argument(
-        "--admission", default="reject-newest",
-        choices=["block", "shed-oldest", "reject-newest"],
+        "--admission", default=REJECT_NEWEST, choices=POLICIES,
         help="per-host overload policy")
     cluster_common.add_argument(
         "--max-batch", type=int, default=None,
@@ -1728,8 +1727,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue-depth", type=int, default=64,
         help="per-stage admission queue bound (default 64)")
     flow_common.add_argument(
-        "--admission", default="reject-newest",
-        choices=["block", "shed-oldest", "reject-newest"],
+        "--admission", default=REJECT_NEWEST, choices=POLICIES,
         help="per-stage overload policy")
     flow_common.add_argument(
         "--max-wait", type=float, default=2.0, metavar="MS",

@@ -188,7 +188,7 @@ class NCSDevice:
         """Arm the lost-device race on the inference path.
 
         Until this is called (by a :class:`~repro.ncsw.faults.
-        FaultPlan` or a fault-tolerant scheduler) ``submit`` and
+        FaultPlan` or a VPU target given a call deadline) ``submit`` and
         ``collect`` wait on their events directly — no extra
         simulation events, so un-faulted runs are byte-identical.
         """

@@ -18,7 +18,7 @@ This package reproduces that design on the simulation substrate:
   targets (including device groups) and running the simulation;
 * :mod:`results` — per-inference records and run-level aggregation;
 * :mod:`faults` — seeded device-failure schedules (``FaultPlan``) and
-  the degraded-mode accounting types for fault-tolerant runs.
+  the degraded-mode accounting types for runs that lose a stick.
 """
 
 from repro.ncsw.sources import (

@@ -21,6 +21,8 @@ from repro.errors import DeviceTimeout, FrameworkError
 from repro.ncs.ncapi import GraphHandle
 from repro.ncsw.faults import FailureEvent
 from repro.ncsw.scheduler import FAILOVER_ERRORS
+from repro.serve.queue import BLOCK, REJECT_NEWEST, SHED_OLDEST
+from repro.serve.queue import POLICIES as ADMISSION_POLICIES
 from repro.sim.core import Environment, Event
 from repro.sim.resources import Store
 
@@ -53,7 +55,7 @@ class PipelineResult:
     #: Frames stranded by device failures: accepted into the queue but
     #: never classified because no worker survived to take them.
     frames_abandoned: int = 0
-    #: Device failures observed during the run (fault-tolerant mode).
+    #: Device failures observed during the run.
     failures: list[FailureEvent] = field(default_factory=list)
     #: Frames drained off a failed device and retried on a survivor.
     frames_reassigned: int = 0
@@ -132,25 +134,20 @@ class PipelineResult:
                 f"ms, mean {self.mean_latency * 1000:.1f} ms")
 
 
-#: Reject the incoming frame when the queue is full (a live pipeline
-#: skips frames rather than falling behind) — the historical default.
-REJECT_NEWEST = "reject-newest"
-#: Evict the oldest queued frame to admit the incoming one (stale
-#: frames are worthless to a live classifier anyway).
-SHED_OLDEST = "shed-oldest"
-#: Stall the camera until the queue drains (backpressure: nothing is
-#: lost, but the source falls behind its own clock).
-BLOCK = "block"
-
-ADMISSION_POLICIES = (REJECT_NEWEST, SHED_OLDEST, BLOCK)
-
-
 class StreamingPipeline:
-    """Camera -> bounded queue -> multi-stick worker pool."""
+    """Camera -> bounded queue -> multi-stick worker pool.
+
+    ``admission`` is what a full queue does to the next frame:
+    ``reject-newest`` skips it (a live pipeline skips frames rather
+    than falling behind; the default), ``shed-oldest`` evicts the
+    oldest queued frame to admit it (stale frames are worthless to a
+    live classifier) and ``block`` stalls the camera until a worker
+    frees a slot (nothing is lost, but the source falls behind its own
+    clock).
+    """
 
     def __init__(self, env: Environment, graphs: list[GraphHandle],
                  fps: float, queue_depth: int = 4,
-                 fault_tolerant: bool = False,
                  call_timeout: Optional[float] = None,
                  admission: str = REJECT_NEWEST) -> None:
         if not graphs:
@@ -170,8 +167,6 @@ class StreamingPipeline:
         self.graphs = graphs
         self.fps = fps
         self.queue_depth = queue_depth
-        self.fault_tolerant = bool(fault_tolerant) or (
-            call_timeout is not None)
         self.call_timeout = call_timeout
         self.admission = admission
         self._queue = Store(env, capacity=float("inf"))
@@ -193,9 +188,7 @@ class StreamingPipeline:
              ) -> Generator[Event, None, PipelineResult]:
         t0 = self.env.now
         producer = self.env.process(self._producer(num_frames))
-        workers = [self.env.process(
-                       self._worker_ft(g, idx) if self.fault_tolerant
-                       else self._worker(g))
+        workers = [self.env.process(self._worker(g, idx))
                    for idx, g in enumerate(self.graphs)]
         yield producer
         # Poison-pill each worker after the source dries up.
@@ -228,8 +221,9 @@ class StreamingPipeline:
                 obs.metrics.counter("pipeline.frames_offered").inc()
             if self.admission == BLOCK:
                 # Backpressure: stall the camera until a worker frees
-                # a slot.  Frames are stamped with their production
-                # time, so the stall shows up as queueing latency.
+                # a slot.  The frame is stamped when it is admitted,
+                # after the stall, so a stalled camera shows up as a
+                # lower sustained rate, not as queueing latency.
                 # If every device has died the wait would never end;
                 # admit anyway and let the drain count them abandoned.
                 while (self._queued >= self.queue_depth
@@ -281,33 +275,11 @@ class StreamingPipeline:
             self._space.succeed()
             self._space = None
 
-    def _worker(self, graph: GraphHandle
+    def _worker(self, graph: GraphHandle, device_index: int
                 ) -> Generator[Event, None, None]:
-        obs = self.env.obs
-        while True:
-            frame = yield self._queue.get()
-            if frame is None:
-                self._alive_workers -= 1
-                return
-            self._queued -= 1
-            self._notify_space()
-            if obs is not None:
-                obs.metrics.gauge("pipeline.queue_depth").set(
-                    self._queued)
-            yield graph.load_tensor(None, user=frame)
-            _, got = yield graph.get_result()
-            got.completed_at = self.env.now
-            self.records.append(got)
-            if obs is not None:
-                obs.metrics.histogram(
-                    "pipeline.latency_seconds").observe(
-                        got.completed_at - got.arrived_at)
-
-    def _worker_ft(self, graph: GraphHandle, device_index: int
-                   ) -> Generator[Event, None, None]:
-        # Same loop as ``_worker`` but the stick dying mid-frame kills
-        # only this worker: the in-flight frame jumps back to the head
-        # of the queue for a survivor, and the failure is recorded.
+        # The stick dying mid-frame kills only this worker: the
+        # in-flight frame jumps back to the head of the queue for a
+        # survivor, and the failure is recorded.
         obs = self.env.obs
         while True:
             frame = yield self._queue.get()

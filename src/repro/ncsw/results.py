@@ -63,8 +63,8 @@ class RunResult:
     #: round-robin split in ``run_group`` with more targets than
     #: items); such a result holds no measurement.
     empty: bool = False
-    #: Device failures observed during the run (fault-tolerant targets
-    #: only; empty on healthy runs).
+    #: Device failures observed during the run (empty on healthy
+    #: runs).
     failures: list["FailureEvent"] = field(default_factory=list)
     #: Work items drained off failed devices and re-dispatched.
     reassigned: int = 0

@@ -16,19 +16,15 @@ Two knobs exist for ablations:
   which matters once per-inference latency varies (jitter, thermal
   throttling) and is pointless when it doesn't.
 
-A third knob hardens the run against device failure:
-
-* ``fault_tolerant=True`` (implied by a ``call_timeout``) makes every
-  worker survive its stick dying mid-run: the device is written off
-  in a :class:`~repro.ncs.health.HealthMonitor`, its in-flight and
-  unstarted items drain back to a shared pool, and rescue rounds
-  round-robin them over the survivors with bounded retry/backoff.
-  ``call_timeout`` arms a per-call NCAPI deadline — the only way to
-  detect a *hung* firmware, which fails no call and raises no error.
-
-The default (non-fault-tolerant, no timeout) path schedules exactly
-the same simulation events as it always did, so headline results stay
-byte-identical whether or not this machinery exists.
+Dispatch always fails over: a device whose call fails is written off
+in a :class:`~repro.ncs.health.HealthMonitor`, its in-flight and
+unstarted items drain back to a shared pool, and rescue rounds
+round-robin them over the survivors with bounded retry/backoff.
+A stick already dead when a batch starts never enters the rotation.
+``call_timeout`` arms a per-call NCAPI deadline — the only way to
+detect a *hung* firmware, which fails no call and raises no error.
+With no failure, the failover bookkeeping schedules no simulation
+events of its own.
 """
 
 from __future__ import annotations
@@ -49,7 +45,7 @@ from repro.ncsw.sources import WorkItem
 from repro.sim.core import Environment, Event
 from repro.sim.resources import Store
 
-#: Errors a fault-tolerant worker treats as "this device is gone":
+#: Errors a worker treats as "this device is gone":
 #: lost/unplugged, thermally shut down, hung past its deadline,
 #: persistently busy, closed under us, or the bus itself failing.
 FAILOVER_ERRORS = (DeviceLost, DeviceTimeout, DeviceBusy, DeviceClosed,
@@ -63,7 +59,6 @@ class MultiVPUScheduler:
                  graphs: list[GraphHandle],
                  overlap: bool = True,
                  dynamic: bool = False,
-                 fault_tolerant: bool = False,
                  call_timeout: Optional[float] = None,
                  max_retries: int = 3,
                  retry_backoff_s: float = 1e-3) -> None:
@@ -80,9 +75,6 @@ class MultiVPUScheduler:
         self.graphs = graphs
         self.overlap = overlap
         self.dynamic = dynamic
-        # A call deadline only makes sense with failover to act on it.
-        self.fault_tolerant = bool(fault_tolerant) or (
-            call_timeout is not None)
         self.call_timeout = call_timeout
         self.max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s
@@ -91,8 +83,7 @@ class MultiVPUScheduler:
         self.failures: list[FailureEvent] = []
         self.reassigned = 0
         self.abandoned: list[WorkItem] = []
-        self.health: Optional[HealthMonitor] = (
-            HealthMonitor(env) if self.fault_tolerant else None)
+        self.health = HealthMonitor(env)
         self._dead: set[int] = set()  # graph indices out of rotation
         self._requeue: list[WorkItem] = []
         self._attempts: dict[int, int] = {}
@@ -108,115 +99,14 @@ class MultiVPUScheduler:
                           abandoned=len(self.abandoned))
 
     def _run(self, items: list[WorkItem]) -> Generator[Event, None, None]:
-        if self.fault_tolerant:
-            yield from self._run_ft(items)
-            return
-        if self.dynamic:
-            yield from self._run_dynamic(items)
-            return
-        # Static round-robin: item i -> device (i mod n), as §III says.
-        n = len(self.graphs)
-        assignments: list[list[WorkItem]] = [[] for _ in range(n)]
-        for i, item in enumerate(items):
-            assignments[i % n].append(item)
-        # Fork one worker per device (Fig. 4 step 1), join at the end
-        # (step 5).
-        workers = [self.env.process(self._worker(g, work, idx))
-                   for idx, (g, work) in enumerate(
-                       zip(self.graphs, assignments)) if work]
-        if workers:
-            yield self.env.all_of(workers)
-
-    # -- dynamic (pull-based) variant ----------------------------------
-    def _run_dynamic(self,
-                     items: list[WorkItem]) -> Generator[Event, None, None]:
-        obs = self.env.obs
-        queue: Store = Store(self.env)
-        for item in items:
-            queue.put(item)
-        if obs is not None:
-            obs.metrics.gauge("scheduler.queue_depth").set(len(items))
-        for _ in self.graphs:
-            queue.put(None)  # poison pill per worker
-        workers = [self.env.process(self._dynamic_worker(g, queue, idx))
-                   for idx, g in enumerate(self.graphs)]
-        yield self.env.all_of(workers)
-
-    def _dynamic_worker(self, graph: GraphHandle, queue: Store,
-                        device_index: int
-                        ) -> Generator[Event, None, None]:
-        device_name = f"vpu{device_index}"
-        obs = self.env.obs
-        while True:
-            item = yield queue.get()
-            if item is None:
-                return
-            if obs is not None:
-                # Remaining real work (poison pills excluded).
-                obs.metrics.gauge("scheduler.queue_depth").set(
-                    sum(1 for i in queue.items if i is not None))
-            t0 = self.env.now
-            yield graph.load_tensor(item.tensor, user=item)
-            result, got = yield graph.get_result()
-            self._record(got, result, device_name, t0)
-
-    def _worker(self, graph: GraphHandle, work: list[WorkItem],
-                device_index: int) -> Generator[Event, None, None]:
-        device_name = f"vpu{device_index}"
-        if self.overlap:
-            yield from self._worker_overlapped(graph, work, device_name)
-        else:
-            yield from self._worker_serial(graph, work, device_name)
-
-    def _worker_overlapped(self, graph: GraphHandle,
-                           work: list[WorkItem],
-                           device_name: str
-                           ) -> Generator[Event, None, None]:
-        submit_times: dict[int, float] = {}
-        pending: list[WorkItem] = []
-
-        def _load(item: WorkItem):
-            submit_times[item.index] = self.env.now
-            return graph.load_tensor(item.tensor, user=item)
-
-        # Prime the pipeline with the first tensor, then keep one
-        # in flight: load k+1, collect k.
-        yield _load(work[0])
-        pending.append(work[0])
-        for nxt in work[1:]:
-            yield _load(nxt)
-            pending.append(nxt)
-            result, item = yield graph.get_result()
-            pending.remove(item)
-            self._record(item, result, device_name,
-                         submit_times[item.index])
-        while pending:
-            result, item = yield graph.get_result()
-            pending.remove(item)
-            self._record(item, result, device_name,
-                         submit_times[item.index])
-
-    def _worker_serial(self, graph: GraphHandle, work: list[WorkItem],
-                       device_name: str
-                       ) -> Generator[Event, None, None]:
-        for item in work:
-            t0 = self.env.now
-            yield graph.load_tensor(item.tensor, user=item)
-            result, got = yield graph.get_result()
-            self._record(got, result, device_name, t0)
-
-    # -- fault-tolerant variants ----------------------------------------
-    def _run_ft(self, items: list[WorkItem]
-                ) -> Generator[Event, None, None]:
         # Devices dead before this batch (a kill in an earlier batch,
         # say) never enter the rotation and raise no fresh failure
         # event — they already had theirs.
         live: list[int] = []
         for idx, graph in enumerate(self.graphs):
             dead = graph.device.dead
-            if self.health is not None:
-                self.health.register(graph.device_id,
-                                     DEAD if dead else HEALTHY)
+            self.health.register(graph.device_id,
+                                 DEAD if dead else HEALTHY)
             if dead:
                 self._dead.add(idx)
             else:
@@ -225,12 +115,15 @@ class MultiVPUScheduler:
             self._abandon(items)
             return
         if self.dynamic:
-            yield from self._run_dynamic_ft(items)
+            yield from self._run_dynamic(items)
             return
+        # Static round-robin over the live devices, as §III says; fork
+        # one worker per device (Fig. 4 step 1), join at the end
+        # (step 5).
         assignments: dict[int, list[WorkItem]] = {i: [] for i in live}
         for k, item in enumerate(items):
             assignments[live[k % len(live)]].append(item)
-        workers = [self.env.process(self._worker_ft(
+        workers = [self.env.process(self._worker(
                        self.graphs[idx], work, idx))
                    for idx, work in assignments.items() if work]
         if workers:
@@ -256,46 +149,47 @@ class MultiVPUScheduler:
             assignments = {i: [] for i in live}
             for k, item in enumerate(batch):
                 assignments[live[k % len(live)]].append(item)
-            workers = [self.env.process(self._worker_ft(
+            workers = [self.env.process(self._worker(
                            self.graphs[idx], work, idx))
                        for idx, work in assignments.items() if work]
             if workers:
                 yield self.env.all_of(workers)
 
-    def _worker_ft(self, graph: GraphHandle, work: list[WorkItem],
-                   device_index: int) -> Generator[Event, None, None]:
+    def _worker(self, graph: GraphHandle, work: list[WorkItem],
+                device_index: int) -> Generator[Event, None, None]:
         device_name = f"vpu{device_index}"
         todo: Deque[WorkItem] = deque(work)
         pending: list[WorkItem] = []
         try:
             if self.overlap:
-                yield from self._worker_overlapped_ft(
+                yield from self._worker_overlapped(
                     graph, todo, pending, device_name)
             else:
-                yield from self._worker_serial_ft(
+                yield from self._worker_serial(
                     graph, todo, device_name)
         except FAILOVER_ERRORS as exc:
             self._handle_failure(graph, device_index, exc,
                                  pending + list(todo))
 
-    def _worker_overlapped_ft(self, graph: GraphHandle,
-                              todo: Deque[WorkItem],
-                              pending: list[WorkItem],
-                              device_name: str
-                              ) -> Generator[Event, None, None]:
-        # Same double-buffered shape as ``_worker_overlapped`` but the
-        # caller owns ``todo``/``pending``: on failure, everything
-        # submitted-but-uncollected plus everything unstarted is
-        # exactly ``pending + todo``.
+    def _worker_overlapped(self, graph: GraphHandle,
+                           todo: Deque[WorkItem],
+                           pending: list[WorkItem],
+                           device_name: str
+                           ) -> Generator[Event, None, None]:
+        # Prime the pipeline with the first tensor, then keep one in
+        # flight: load k+1, collect k.  The caller owns
+        # ``todo``/``pending``: on failure, everything submitted-but-
+        # uncollected plus everything unstarted is exactly
+        # ``pending + todo``.
         submit_times: dict[int, float] = {}
         first = todo[0]
         submit_times[first.index] = self.env.now
-        yield from self._load_ft(graph, first, device_name)
+        yield from self._load(graph, first, device_name)
         pending.append(todo.popleft())
         while todo:
             nxt = todo[0]
             submit_times[nxt.index] = self.env.now
-            yield from self._load_ft(graph, nxt, device_name)
+            yield from self._load(graph, nxt, device_name)
             pending.append(todo.popleft())
             result, item = yield graph.get_result(
                 timeout=self.call_timeout)
@@ -309,21 +203,21 @@ class MultiVPUScheduler:
             self._record(item, result, device_name,
                          submit_times[item.index])
 
-    def _worker_serial_ft(self, graph: GraphHandle,
-                          todo: Deque[WorkItem],
-                          device_name: str
-                          ) -> Generator[Event, None, None]:
+    def _worker_serial(self, graph: GraphHandle,
+                       todo: Deque[WorkItem],
+                       device_name: str
+                       ) -> Generator[Event, None, None]:
         while todo:
             item = todo[0]  # popped only once the result is in hand
             t0 = self.env.now
-            yield from self._load_ft(graph, item, device_name)
+            yield from self._load(graph, item, device_name)
             result, got = yield graph.get_result(
                 timeout=self.call_timeout)
             todo.popleft()
             self._record(got, result, device_name, t0)
 
-    def _load_ft(self, graph: GraphHandle, item: WorkItem,
-                 device_name: str) -> Generator[Event, None, None]:
+    def _load(self, graph: GraphHandle, item: WorkItem,
+              device_name: str) -> Generator[Event, None, None]:
         """``load_tensor`` with bounded retry on transient busyness."""
         attempt = 0
         while True:
@@ -340,9 +234,9 @@ class MultiVPUScheduler:
                     obs.metrics.counter("scheduler.busy_retries").inc()
                 yield self.env.timeout(self.retry_backoff_s * attempt)
 
-    # -- dynamic fault-tolerant variant ---------------------------------
-    def _run_dynamic_ft(self, items: list[WorkItem]
-                        ) -> Generator[Event, None, None]:
+    # -- dynamic (pull-based) variant ----------------------------------
+    def _run_dynamic(self, items: list[WorkItem]
+                     ) -> Generator[Event, None, None]:
         # No poison pills: a drained-then-refilled queue (failover
         # putting items back) must not leave work stranded behind a
         # pill.  Workers exit when the queue is empty; rescue rounds
@@ -359,7 +253,7 @@ class MultiVPUScheduler:
                     if idx not in self._dead and not g.device.dead]
             if not live or not queue.items:
                 break
-            workers = [self.env.process(self._dynamic_worker_ft(
+            workers = [self.env.process(self._dynamic_worker(
                            self.graphs[idx], queue, idx))
                        for idx in live]
             yield self.env.all_of(workers)
@@ -372,9 +266,9 @@ class MultiVPUScheduler:
             self._abandon(list(queue.items))
             queue.items.clear()
 
-    def _dynamic_worker_ft(self, graph: GraphHandle, queue: Store,
-                           device_index: int
-                           ) -> Generator[Event, None, None]:
+    def _dynamic_worker(self, graph: GraphHandle, queue: Store,
+                        device_index: int
+                        ) -> Generator[Event, None, None]:
         device_name = f"vpu{device_index}"
         obs = self.env.obs
         while queue.items:
@@ -384,7 +278,7 @@ class MultiVPUScheduler:
                     len(queue.items))
             t0 = self.env.now
             try:
-                yield from self._load_ft(graph, item, device_name)
+                yield from self._load(graph, item, device_name)
                 result, got = yield graph.get_result(
                     timeout=self.call_timeout)
             except FAILOVER_ERRORS as exc:
@@ -405,8 +299,7 @@ class MultiVPUScheduler:
             graph.fail_device("hang", str(exc))
         device = graph.device
         self._dead.add(device_index)
-        if self.health is not None:
-            self.health.mark_dead(device.device_id, reason=str(exc))
+        self.health.mark_dead(device.device_id, reason=str(exc))
         requeued = 0
         for item in unfinished:
             attempts = self._attempts.get(item.index, 0) + 1

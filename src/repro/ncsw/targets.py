@@ -193,10 +193,16 @@ class IntelVPU(TargetDevice):
         A pre-compiled graph to reuse (saves recompilation in sweeps).
     fault_plan:
         A :class:`~repro.ncsw.faults.FaultPlan` of seeded device
-        failures to arm against the sticks (enables fault tolerance).
+        failures to arm against the sticks (arms the lost-device
+        hooks, so a stick dying mid-call fails over at once).
     call_timeout:
-        Per-call NCAPI deadline in seconds (enables fault tolerance;
-        the only way to detect a hung firmware).
+        Per-call NCAPI deadline in seconds (arms the lost-device
+        hooks; the only way to detect a hung firmware).
+
+    Every run fails over: a stick that dies during bring-up or idle
+    between batches is left out of the rotation, and one that dies
+    mid-call (once ``fault_plan`` or ``call_timeout`` armed its hooks)
+    has its work served by the survivors.
     """
 
     name = "vpu"
@@ -210,7 +216,6 @@ class IntelVPU(TargetDevice):
                  jitter: float = 0.0,
                  dynamic: bool = False,
                  fault_plan: Optional[FaultPlan] = None,
-                 fault_tolerant: bool = False,
                  call_timeout: Optional[float] = None,
                  max_retries: int = 3,
                  retry_backoff_s: float = 1e-3) -> None:
@@ -226,9 +231,6 @@ class IntelVPU(TargetDevice):
         self.jitter = jitter
         self.dynamic = dynamic
         self.fault_plan = fault_plan
-        self.fault_tolerant = (bool(fault_tolerant)
-                               or fault_plan is not None
-                               or call_timeout is not None)
         self.call_timeout = call_timeout
         self.max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s
@@ -298,35 +300,19 @@ class IntelVPU(TargetDevice):
             device.latency_jitter = self.jitter
         if self.fault_plan is not None:
             self.fault_plan.arm(env, self.api.devices)
-        elif self.fault_tolerant:
-            # No scheduled faults, but failover still needs the lost-
+        elif self.call_timeout is not None:
+            # No scheduled faults, but a deadline still needs the lost-
             # device hooks armed so host-injected deaths abort calls.
             for device in self.api.devices:
                 device.enable_fault_hooks()
         return env.process(self._prepare())
 
     def _prepare(self) -> Generator[Event, None, None]:
-        assert self.api is not None
-        if self.fault_tolerant:
-            yield from self._prepare_ft()
-            return
         # Boot every stick and allocate the graph, concurrently —
-        # exactly what NCSw does at start-up.
-        opens = [self.api.open_device(i)
-                 for i in range(self.num_devices)]
-        handles = yield self._env.all_of(opens)  # type: ignore[union-attr]
-        device_handles = [handles[ev] for ev in opens]
-        allocs = [dh.allocate_compiled(self._graph)
-                  for dh in device_handles]
-        graphs = yield self._env.all_of(allocs)  # type: ignore[union-attr]
-        self._handles = [graphs[ev] for ev in allocs]
-
-    def _prepare_ft(self) -> Generator[Event, None, None]:
-        # Same two-barrier shape as the default path (all opens, then
-        # all allocations) so a fault-tolerant run with no faults keeps
-        # byte-identical timing — but each phase is wrapped per stick
-        # so a fault firing mid-boot costs that stick alone, not the
-        # whole bring-up.
+        # exactly what NCSw does at start-up: all opens, then all
+        # allocations.  Each phase is wrapped per stick so a fault
+        # firing mid-boot costs that stick alone, not the whole
+        # bring-up.
         env = self._env
         assert env is not None and self.api is not None
 
@@ -356,11 +342,9 @@ class IntelVPU(TargetDevice):
         if self._env is None:
             raise FrameworkError("IntelVPU: prepare() not called")
         if not self._handles:
-            if self.fault_tolerant:
-                # Every stick died during bring-up: nothing can run.
-                self._fault_stats.abandoned += len(items)
-                return self._env.timeout(0.0, value=[])
-            raise FrameworkError("IntelVPU: prepare() not called")
+            # Every stick died during bring-up: nothing can run.
+            self._fault_stats.abandoned += len(items)
+            return self._env.timeout(0.0, value=[])
         return self._env.process(self._process(items))
 
     def _process(self, items: list[WorkItem]
@@ -370,13 +354,11 @@ class IntelVPU(TargetDevice):
             self._env, self._handles,
             overlap=self.overlap,
             dynamic=self.dynamic,
-            fault_tolerant=self.fault_tolerant,
             call_timeout=self.call_timeout,
             max_retries=self.max_retries,
             retry_backoff_s=self.retry_backoff_s)
         yield scheduler.run(items)
-        if self.fault_tolerant:
-            # One scheduler per batch; fold its accounting into the
-            # run-level stats the framework reads back.
-            self._fault_stats.merge(scheduler.fault_stats())
+        # One scheduler per batch; fold its accounting into the
+        # run-level stats the framework reads back.
+        self._fault_stats.merge(scheduler.fault_stats())
         return scheduler.records

@@ -51,7 +51,7 @@ class ServeResult:
     slo_seconds: Optional[float] = None
     #: Every offered request, in arrival order, with its timestamps.
     requests: list[Request] = field(default_factory=list)
-    #: Device failures observed during the run (fault-tolerant mode).
+    #: Device failures observed during the run.
     failures: list["FailureEvent"] = field(default_factory=list)
     #: Leading completed requests excluded from latency statistics
     #: (cold-start transient: empty batcher windows, cold EWMAs).

@@ -34,14 +34,13 @@ def chaos_run(chaos_graph):
     from repro.ncsw import IntelVPU, NCSw, SyntheticSource
 
     def _run(plan=None, *, images=40, devices=4, batch=None,
-             call_timeout=None, dynamic=False, overlap=True,
-             fault_tolerant=False, obs=None):
+             call_timeout=None, dynamic=False, overlap=True, obs=None):
         fw = NCSw(obs=obs)
         fw.add_source("synth", SyntheticSource(images))
         fw.add_target("vpu", IntelVPU(
             graph=chaos_graph, num_devices=devices, functional=False,
             overlap=overlap, dynamic=dynamic, fault_plan=plan,
-            call_timeout=call_timeout, fault_tolerant=fault_tolerant))
+            call_timeout=call_timeout))
         return fw.run("synth", "vpu",
                       batch_size=batch if batch else images)
 

@@ -15,8 +15,10 @@ from repro.errors import FrameworkError
 from repro.ncsw import (DeviceFault, FaultPlan, ImageFolder, IntelVPU,
                         NCSw)
 from repro.ncsw.faults import BUSY, DEATH, HANG, THERMAL
+from repro.ncsw.sources import WorkItem
 from repro.nn import get_model
 from repro.nn.weights import WeightStore
+from repro.sim import Environment
 from repro.vpu import compile_graph
 
 #: A call deadline several healthy micro inferences (~2.7 ms) long:
@@ -147,15 +149,44 @@ def test_all_devices_dead_abandons_remainder(chaos_run, window):
 
 
 def test_fault_machinery_off_is_byte_identical(chaos_run):
-    """The headline guarantee: with no faults scheduled, the default
-    path, an armed-but-empty plan and bare fault tolerance all produce
-    byte-identical results."""
-    plain = chaos_run(None)
-    armed = chaos_run(None, fault_tolerant=True)
-    empty = chaos_run(FaultPlan())
-    assert _fingerprint(plain) == _fingerprint(armed)
-    assert _fingerprint(plain) == _fingerprint(empty)
-    assert not plain.degraded
+    """The headline guarantee: with no fault firing, plain waits, the
+    lost-device hooks armed by an empty plan, and the hooks armed by a
+    call deadline that never fires all produce byte-identical results,
+    on every worker loop (static double-buffered, static serial,
+    dynamic)."""
+    for dynamic in (False, True):
+        for overlap in (True, False):
+            kw = dict(dynamic=dynamic, overlap=overlap)
+            plain = chaos_run(None, **kw)
+            empty = chaos_run(FaultPlan(), **kw)
+            deadline = chaos_run(None, call_timeout=TIMEOUT, **kw)
+            assert _fingerprint(plain) == _fingerprint(empty), kw
+            assert _fingerprint(plain) == _fingerprint(deadline), kw
+            assert not plain.degraded, kw
+
+
+def test_stick_dying_between_batches_fails_over_without_a_plan(
+        chaos_graph):
+    """No fault plan and no deadline: a stick that dies idle between
+    batches drops out of the next batch's rotation, the survivors
+    serve every item, and the run's accounting lists the death."""
+    env = Environment()
+    vpu = IntelVPU(graph=chaos_graph, num_devices=4, functional=False)
+    env.run(until=vpu.prepare(env))
+    first = env.run(until=vpu.process_batch(
+        [WorkItem(i, i, None) for i in range(8)]))
+    assert {r.device for r in first} == {"vpu0", "vpu1", "vpu2", "vpu3"}
+    victim = vpu.api.devices[2]
+    victim.mark_dead("death", "unplugged between batches")
+    second = env.run(until=vpu.process_batch(
+        [WorkItem(i, i, None) for i in range(8, 16)]))
+    assert sorted(r.index for r in second) == list(range(8, 16))
+    assert {r.device for r in second} == {"vpu0", "vpu1", "vpu3"}
+    stats = vpu.fault_stats()
+    assert [(f.device, f.kind) for f in stats.events] == [
+        (victim.device_id, "death")]
+    assert stats.abandoned == 0 and stats.reassigned == 0
+    assert vpu.alive
 
 
 def test_eight_sticks_kill_one_sustains_most_throughput(chaos_run):

@@ -255,7 +255,7 @@ def test_busy_is_retried_with_backoff(micro_graph):
         # Busy for 2 ms; the retry budget (1+2+3 ms of backoff)
         # outlasts it.
         device.inject_busy(0.002)
-        sched = MultiVPUScheduler(env, [graph], fault_tolerant=True)
+        sched = MultiVPUScheduler(env, [graph])
         yield sched.run([WorkItem(i, i, None, None) for i in range(4)])
         return sched
 
@@ -278,7 +278,7 @@ def test_busy_gives_up_after_max_retries(micro_graph):
         dev = yield api.open_device(0)
         graph = yield dev.allocate_compiled(micro_graph)
         device.inject_busy(10.0)
-        sched = MultiVPUScheduler(env, [graph], fault_tolerant=True)
+        sched = MultiVPUScheduler(env, [graph])
         yield sched.run([WorkItem(i, i, None, None) for i in range(4)])
         return sched
 

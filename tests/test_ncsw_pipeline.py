@@ -154,7 +154,7 @@ def test_pipeline_survives_device_death(micro_graph):
         env.process(killer())
         pipeline = StreamingPipeline(
             env, [graphs[ev] for ev in allocs], fps=300,
-            fault_tolerant=True, call_timeout=0.05)
+            call_timeout=0.05)
         result = yield pipeline.run(60)
         return result
 
@@ -221,6 +221,19 @@ def test_block_admission_backpressures_instead_of_dropping(
         1 / micro_graph.inference_seconds, rel=0.25)
 
 
+def test_block_admission_stamps_frames_after_the_stall(micro_graph):
+    """Under backpressure a frame is stamped when it is admitted, not
+    when the camera first tried to emit it: the stall lowers the
+    sustained rate instead of piling up as queueing latency.  With a
+    one-frame queue at ~5x the stick's capacity, no frame waits
+    longer than the frame ahead of it plus its own inference."""
+    from repro.ncsw.pipeline import BLOCK
+
+    result = _stream_policy(micro_graph, BLOCK, queue_depth=1)
+    assert result.frames_processed == 150
+    assert max(result.latencies) < 3 * micro_graph.inference_seconds
+
+
 def test_shed_oldest_admission_drops_but_accounts(micro_graph):
     from repro.ncsw.pipeline import SHED_OLDEST
 
@@ -264,7 +277,7 @@ def test_block_admission_survives_total_device_loss(micro_graph):
         env.process(killer())
         pipeline = StreamingPipeline(
             env, [g], fps=300, queue_depth=1, admission=BLOCK,
-            fault_tolerant=True, call_timeout=0.05)
+            call_timeout=0.05)
         result = yield pipeline.run(60)
         return result
 
