@@ -130,7 +130,7 @@ class HostRank:
         """Drain the shard channel into the admission queue."""
         try:
             while True:
-                item = yield self.stream.pop()
+                item = yield from self.stream.receive()
                 if item is None:
                     break  # EOS: stream closed (or aborted at death)
                 if self.dead:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Generator
 
 from repro.errors import SimulationError
-from repro.mpi.comm import Communicator
+from repro.mpi.comm import Communicator, _payload_bytes
 from repro.sim.core import PENDING, Event
 from repro.sim.resources import Store
 
@@ -42,36 +42,33 @@ class StreamWindow:
         self._closed = False
 
     def push(self, item: Any) -> Event:
-        """Producer side: append an item (blocks when the window is
-        full — the stream's backpressure)."""
+        """Producer side: append an item (the event pends while the
+        window is full — the stream's backpressure)."""
         if self._closed:
             raise SimulationError("stream already closed")
         env = self.comm.env
+        pushed = env.event()
 
-        def do_push() -> Generator[Event, None, None]:
-            # Wire cost of moving the item to the consumer's window.
-            from repro.mpi.comm import _payload_bytes
-            yield env.timeout(
-                self.comm.transfer_seconds(_payload_bytes(item)))
-            yield self._buffer.put(item)
+        def delivered(_: Event) -> None:
             self.pushed += 1
             obs = env.obs
             if obs is not None:
                 obs.reqtrace.hop(getattr(item, "trace", None),
                                  "delivered",
                                  track=f"rank{self.dest}/stream")
+            pushed.succeed()
 
-        return env.process(do_push())
+        # Wire cost of moving the item to the consumer's window, then
+        # the hand-off into it.
+        wire = self.comm.transfer_seconds(_payload_bytes(item))
+        env.timeout(wire).add_callback(
+            lambda _: self._buffer.put(item).add_callback(delivered))
+        return pushed
 
     def close(self) -> Event:
-        """Producer side: end the stream after items in flight."""
+        """Producer side: queue the end-of-stream mark."""
         self._closed = True
-        env = self.comm.env
-
-        def do_close() -> Generator[Event, None, None]:
-            yield self._buffer.put(self._EOS)
-
-        return env.process(do_close())
+        return self._buffer.put(self._EOS)
 
     @property
     def closed(self) -> bool:
@@ -112,18 +109,18 @@ class StreamWindow:
 
     def pop(self) -> Event:
         """Consumer side: event -> next item, or ``None`` at EOS."""
-        env = self.comm.env
+        return self.comm.env.process(self.receive())
 
-        def do_pop() -> Generator[Event, None, Any]:
-            item = yield self._buffer.get()
-            if item is self._EOS:
-                # Leave the sentinel visible to further pops.
-                yield self._buffer.put(self._EOS)
-                return None
-            self.popped += 1
-            return item
-
-        return env.process(do_pop())
+    def receive(self) -> Generator[Event, None, Any]:
+        """Consumer side, inline: ``item = yield from stream.receive()``
+        waits for the next item, or returns ``None`` at EOS."""
+        item = yield self._buffer.get()
+        if item is self._EOS:
+            # Leave the sentinel visible to further pops.
+            yield self._buffer.put(self._EOS)
+            return None
+        self.popped += 1
+        return item
 
     @property
     def depth(self) -> int:

@@ -128,15 +128,13 @@ class NCSDevice:
             int.from_bytes(digest[:8], "little"))
 
     # -- lifecycle ------------------------------------------------------
-    def boot(self) -> Event:
-        """Load firmware and start the RTOS (process event)."""
-        return self.env.process(self._boot())
-
-    def _boot(self) -> Generator[Event, None, None]:
+    def boot(self) -> Generator[Event, None, None]:
+        """Load firmware and start the RTOS (a generator body)."""
         self._check_open(require_boot=False)
         if self.booted:
             return
-        yield self.topology.transfer(self.device_id, self.firmware.nbytes)
+        yield from self.topology.transfer(self.device_id,
+                                          self.firmware.nbytes)
         yield self.env.timeout(self.firmware.boot_seconds)
         self.booted = True
         self.chip.islands.power_on("risc1")
@@ -178,10 +176,7 @@ class NCSDevice:
             self._graph_handle = None
         self.booted = False
         self._emit("reset", dropped_inferences=dropped)
-        yield self._boot_inner()
-
-    def _boot_inner(self) -> Event:
-        return self.env.process(self._boot())
+        yield from self.boot()
 
     # -- fault injection & death ---------------------------------------
     def enable_fault_hooks(self) -> None:
@@ -189,8 +184,9 @@ class NCSDevice:
 
         Until this is called (by a :class:`~repro.ncsw.faults.
         FaultPlan` or a VPU target given a call deadline) ``submit`` and
-        ``collect`` wait on their events directly — no extra
-        simulation events, so un-faulted runs are byte-identical.
+        ``collect`` run their transfers inline and wait on their FIFOs
+        directly — no extra simulation events, so un-faulted runs are
+        byte-identical.
         """
         if self._lost is None:
             self._lost = Event(self.env)
@@ -297,20 +293,26 @@ class NCSDevice:
             raise self._dead_error()
         return result[event]
 
-    # -- graph management --------------------------------------------------
-    def allocate_graph(self, graph: CompiledGraph) -> Event:
-        """Transfer a compiled graph and make it resident (process)."""
-        return self.env.process(self._allocate(graph))
+    def _run_or_lost(self, body: Generator[Event, None, Any]
+                     ) -> Generator[Event, None, Any]:
+        """Run the hop *body* inline; with fault hooks armed, as a
+        process raced against the device's death instead."""
+        if self._lost is None:
+            return (yield from body)
+        return (yield from self._await_or_lost(self.env.process(body)))
 
-    def _allocate(self, graph: CompiledGraph
-                  ) -> Generator[Event, None, None]:
+    # -- graph management --------------------------------------------------
+    def allocate_graph(self, graph: CompiledGraph
+                       ) -> Generator[Event, None, None]:
+        """Transfer a compiled graph and make it resident (a generator
+        body)."""
         self._check_open()
         if self._graph is not None:
             raise DeviceBusy(
                 f"{self.device_id}: a graph is already allocated")
         blob_bytes = (graph.weight_bytes_total
                       + 64 * 1024)  # schedule metadata
-        yield self.topology.transfer(self.device_id, blob_bytes)
+        yield from self.topology.transfer(self.device_id, blob_bytes)
         self._graph_handle = self.chip.allocate_graph(graph)
         self._graph = graph
         self._emit("graph_allocated", graph=graph.name,
@@ -333,18 +335,15 @@ class NCSDevice:
 
     # -- inference path ---------------------------------------------------------
     def submit(self, tensor: Optional[np.ndarray],
-               user: Any = None) -> Event:
-        """Device half of ``mvncLoadTensor`` (process event).
+               user: Any = None) -> Generator[Event, None, int]:
+        """Device half of ``mvncLoadTensor``; returns the tensor's seq.
 
-        Transfers the FP16 tensor over USB and enqueues it; completes
-        when the tensor is in the input FIFO (NOT when inference is
-        done).  Backpressure: if the FIFO holds :data:`FIFO_DEPTH`
-        tensors, the transfer waits.
+        A generator body the host call runs inline.  Transfers the
+        FP16 tensor over USB and enqueues it; returns when the tensor
+        is in the input FIFO (NOT when inference is done).
+        Backpressure: if the FIFO holds :data:`FIFO_DEPTH` tensors,
+        the transfer waits.
         """
-        return self.env.process(self._submit(tensor, user))
-
-    def _submit(self, tensor: Optional[np.ndarray],
-                user: Any) -> Generator[Event, None, int]:
         self._check_open()
         if self.env.now < self._busy_until:
             self.busy_rejections += 1
@@ -362,7 +361,7 @@ class NCSDevice:
                     f"input {expected}")
         item = _Inference(seq=next(self._seq), tensor=tensor, user=user,
                           submitted_at=self.env.now)
-        yield from self._await_or_lost(
+        yield from self._run_or_lost(
             self.topology.transfer(self.device_id, nbytes))
         yield from self._await_or_lost(self._in_fifo.put(item))
         self._emit("tensor_loaded", seq=item.seq, nbytes=nbytes)
@@ -401,7 +400,7 @@ class NCSDevice:
                         obs.tracer.end(span)
                     self.mark_dead("thermal", "over-temperature")
                     return
-            per_layer = yield self.chip.run_inference(graph)
+            per_layer = yield from self.chip.run_inference(graph)
             if self.thermal is not None:
                 scale = self.thermal.frequency_scale()
                 if scale < 1.0:
@@ -451,20 +450,16 @@ class NCSDevice:
         probs = graph.network.forward(x, PrecisionPolicy.fp16())
         return probs[0].astype(np.float16)
 
-    def collect(self) -> Event:
-        """Device half of ``mvncGetResult`` (process event).
-
-        Completes with ``(result_array, user_object)`` after the oldest
-        finished inference's output has crossed the USB link.
+    def collect(self) -> Generator[Event, None, tuple]:
+        """Device half of ``mvncGetResult``: a generator body returning
+        ``(result_array, user_object)`` once the oldest finished
+        inference's output has crossed the USB link.
         """
-        return self.env.process(self._collect())
-
-    def _collect(self) -> Generator[Event, None, tuple]:
         self._check_open()
         graph = self._require_graph()
         item: _Inference = yield from self._await_or_lost(
             self._out_fifo.get())
-        yield from self._await_or_lost(
+        yield from self._run_or_lost(
             self.topology.transfer(self.device_id,
                                    graph.output_tensor_bytes))
         self._emit("result_read", seq=item.seq)

@@ -7,7 +7,8 @@ the *non-blocking* ``load_tensor`` and the *blocking* ``get_result``
 (paper §II-B) and enables the computation/communication overlap that
 the multi-VPU NCSw scheduler exploits.
 
-Every operation returns a DES event; host code (a process) yields it.
+Every operation returns a DES event; host code (a process) yields it,
+or runs a call's ``*_inline`` generator with ``yield from``.
 ``load_tensor`` completes as soon as the tensor is transferred and
 queued — the inference itself proceeds in the background, exactly like
 ``mvncLoadTensor`` returning after scheduling.
@@ -15,7 +16,7 @@ queued — the inference itself proceeds in the background, exactly like
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Generator, Optional
 
 import numpy as np
 
@@ -79,10 +80,8 @@ class GraphHandle:
         the deadline, so pick timeouts well above one inference.
         """
         self._check()
-        event = self._device.submit(tensor, user)
-        if timeout is not None:
-            event = self._deadline("load_tensor", event, timeout)
-        return self._spanned("load_tensor", event)
+        return self._device.env.process(
+            self.load_tensor_inline(tensor, user, timeout))
 
     def get_result(self, timeout: Optional[float] = None) -> Event:
         """Blocking result retrieval (``mvncGetResult``).
@@ -93,10 +92,54 @@ class GraphHandle:
         only way to detect a hung firmware.
         """
         self._check()
-        event = self._device.collect()
-        if timeout is not None:
-            event = self._deadline("get_result", event, timeout)
-        return self._spanned("get_result", event)
+        return self._device.env.process(self.get_result_inline(timeout))
+
+    def load_tensor_inline(self, tensor: Optional[np.ndarray],
+                           user: Any = None,
+                           timeout: Optional[float] = None
+                           ) -> Generator[Event, None, int]:
+        """:meth:`load_tensor` for a host process that waits on the
+        call at once: a generator it runs with ``yield from``, so the
+        device transfer runs in the caller instead of in a process of
+        its own (a *timeout* still races one)."""
+        self._check()
+        return (yield from self._call(
+            "load_tensor", self._device.submit(tensor, user), timeout))
+
+    def get_result_inline(self, timeout: Optional[float] = None
+                          ) -> Generator[Event, None, tuple]:
+        """:meth:`get_result` run inline in the waiting host process
+        (see :meth:`load_tensor_inline`)."""
+        self._check()
+        return (yield from self._call(
+            "get_result", self._device.collect(), timeout))
+
+    def _call(self, name: str, body: Generator[Event, None, Any],
+              timeout: Optional[float]) -> Generator[Event, None, Any]:
+        """Run a device call *body* under a host-side tracer span.
+
+        The span opens at call time and closes when the call returns
+        or fails, so FIFO back-pressure and result waits are visible
+        on the ``<device>/host`` track of the timeline.
+        """
+        obs = self._device.env.obs
+        span = None
+        if obs is not None:
+            span = obs.tracer.begin(
+                name, track=f"{self._device.device_id}/host")
+        try:
+            if timeout is None:
+                value = yield from body
+            else:
+                value = yield self._deadline(
+                    name, self._device.env.process(body), timeout)
+        except Exception:
+            if obs is not None:
+                obs.tracer.end(span)
+            raise
+        if obs is not None:
+            obs.tracer.end(span)
+        return value
 
     def _deadline(self, name: str, event: Event,
                   timeout: float) -> Event:
@@ -125,23 +168,6 @@ class GraphHandle:
                 f"{timeout}s deadline")
 
         return env.process(_race())
-
-    def _spanned(self, name: str, event: Event) -> Event:
-        """Wrap an API call event in a host-side tracer span.
-
-        The span opens at call time and closes when the event fires,
-        so FIFO back-pressure and result waits are visible on the
-        ``<device>/host`` track of the timeline.
-        """
-        obs = self._device.env.obs
-        if obs is not None:
-            span = obs.tracer.begin(
-                name, track=f"{self._device.device_id}/host")
-            if event.processed:  # already processed: zero-length
-                obs.tracer.end(span)
-            else:
-                event.add_callback(lambda _ev: obs.tracer.end(span))
-        return event
 
     def time_taken(self) -> list[float]:
         """Per-inference device execution times so far, in seconds."""
@@ -187,26 +213,17 @@ class DeviceHandle:
 
         Event value is a :class:`GraphHandle`.
         """
-        graph = CompiledGraph.from_bytes(blob)
-        env = self._device.env
-
-        def _alloc():
-            yield self._device.allocate_graph(graph)
-            return GraphHandle(self._device, graph)
-
-        return env.process(_alloc())
+        return self.allocate_compiled(CompiledGraph.from_bytes(blob))
 
     def allocate_compiled(self, graph: CompiledGraph) -> Event:
         """Allocate a :class:`CompiledGraph` directly (skips the blob
         round-trip; used by benchmarks at paper scale where 14 MB of
         weights would be pickled per run for no benefit)."""
-        env = self._device.env
-
         def _alloc():
-            yield self._device.allocate_graph(graph)
+            yield from self._device.allocate_graph(graph)
             return GraphHandle(self._device, graph)
 
-        return env.process(_alloc())
+        return self._device.env.process(_alloc())
 
     def close(self) -> None:
         """Close the device (``mvncCloseDevice``)."""
@@ -240,7 +257,7 @@ class NCAPI:
         device = self._devices[index]
 
         def _open():
-            yield device.boot()
+            yield from device.boot()
             return DeviceHandle(device)
 
         return self.env.process(_open())

@@ -81,12 +81,12 @@ class SyncSession:
         results: list[np.ndarray] = []
 
         def pipeline():
-            yield graph.load_tensor(tensors[0], user=0)
+            yield from graph.load_tensor_inline(tensors[0], user=0)
             for i, tensor in enumerate(tensors[1:], start=1):
-                yield graph.load_tensor(tensor, user=i)
-                result, _ = yield graph.get_result()
+                yield from graph.load_tensor_inline(tensor, user=i)
+                result, _ = yield from graph.get_result_inline()
                 results.append(result)
-            result, _ = yield graph.get_result()
+            result, _ = yield from graph.get_result_inline()
             results.append(result)
 
         self.env.run(until=self.env.process(pipeline()))

@@ -102,6 +102,8 @@ class USBTopology:
         self.links: dict[str, USBLink] = {}
         self._attachments: dict[str, _Attachment] = {}
         self._hub_ports: dict[str, int] = {}
+        #: hub name -> (root port it occupies, its upstream link)
+        self._hub_chains: dict[str, tuple[str, str]] = {}
         self._root_free = [f"root{i}" for i in range(root_ports)]
         for name in self._root_free:
             self._add_link(USBLink(name))
@@ -120,14 +122,11 @@ class USBTopology:
             raise USBError("hub needs at least one port")
         if not self._root_free:
             raise USBError("no free root ports for hub")
-        upstream = self._root_free.pop(0)
-        hub_link = USBLink(f"{name}-up", bandwidth=bandwidth)
-        self._add_link(hub_link)
+        # Validate before taking the port: a rejected hub leaks none.
+        self._add_link(USBLink(f"{name}-up", bandwidth=bandwidth))
         self._hub_ports[name] = ports
-        # Record the chain for later attachment: hub upstream shares
-        # the root port it occupies.
-        self._hub_chains = getattr(self, "_hub_chains", {})
-        self._hub_chains[name] = (upstream, hub_link.name)
+        # Devices behind the hub share its root port and upstream link.
+        self._hub_chains[name] = (self._root_free.pop(0), f"{name}-up")
         return name
 
     def attach_device(self, device_id: str,
@@ -175,18 +174,16 @@ class USBTopology:
             raise USBError(f"device {device_id!r} not attached") from None
 
     # -- transfers ------------------------------------------------------------
-    def transfer(self, device_id: str, nbytes: int) -> Event:
-        """Move *nbytes* to/from a device as a DES process.
+    def transfer(self, device_id: str, nbytes: int
+                 ) -> Generator[Event, None, float]:
+        """Move *nbytes* to/from a device (a generator body: run it
+        inline with ``yield from``); returns the seconds taken.
 
         The transfer holds every shared link on the device's path for
         its duration; devices on different root ports proceed in
         parallel, devices behind the same hub serialise.
         """
         path = self.path(device_id)
-        return self.env.process(self._transfer(path, nbytes, device_id))
-
-    def _transfer(self, path: tuple[str, ...], nbytes: int,
-                  device_id: str = "") -> Generator[Event, None, float]:
         links = [self.links[name] for name in path]
         # The path's cost is bounded by its slowest link; latency adds
         # per hop.

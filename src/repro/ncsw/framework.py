@@ -121,7 +121,7 @@ class NCSw:
                     span = obs.tracer.begin(
                         "process_batch", track="host", batch=i,
                         size=len(chunk))
-                records = yield target.process_batch(chunk)
+                records = yield from target.execute(chunk)
                 if obs is not None:
                     obs.tracer.end(span)
                 result.records.extend(records)
@@ -200,7 +200,7 @@ class NCSw:
                     span = obs.tracer.begin("process_batch",
                                             track=track, batch=i,
                                             size=len(chunk))
-                records = yield target.process_batch(chunk)
+                records = yield from target.execute(chunk)
                 if obs is not None:
                     obs.tracer.end(span)
                 result.records.extend(records)

@@ -292,9 +292,9 @@ class StreamingPipeline:
                 obs.metrics.gauge("pipeline.queue_depth").set(
                     self._queued)
             try:
-                yield graph.load_tensor(None, user=frame,
-                                        timeout=self.call_timeout)
-                _, got = yield graph.get_result(
+                yield from graph.load_tensor_inline(
+                    None, user=frame, timeout=self.call_timeout)
+                _, got = yield from graph.get_result_inline(
                     timeout=self.call_timeout)
             except FAILOVER_ERRORS as exc:
                 if isinstance(exc, DeviceTimeout) \

@@ -191,13 +191,13 @@ class MultiVPUScheduler:
             submit_times[nxt.index] = self.env.now
             yield from self._load(graph, nxt, device_name)
             pending.append(todo.popleft())
-            result, item = yield graph.get_result(
+            result, item = yield from graph.get_result_inline(
                 timeout=self.call_timeout)
             pending.remove(item)
             self._record(item, result, device_name,
                          submit_times[item.index])
         while pending:
-            result, item = yield graph.get_result(
+            result, item = yield from graph.get_result_inline(
                 timeout=self.call_timeout)
             pending.remove(item)
             self._record(item, result, device_name,
@@ -211,7 +211,7 @@ class MultiVPUScheduler:
             item = todo[0]  # popped only once the result is in hand
             t0 = self.env.now
             yield from self._load(graph, item, device_name)
-            result, got = yield graph.get_result(
+            result, got = yield from graph.get_result_inline(
                 timeout=self.call_timeout)
             todo.popleft()
             self._record(got, result, device_name, t0)
@@ -222,8 +222,8 @@ class MultiVPUScheduler:
         attempt = 0
         while True:
             try:
-                yield graph.load_tensor(item.tensor, user=item,
-                                        timeout=self.call_timeout)
+                yield from graph.load_tensor_inline(
+                    item.tensor, user=item, timeout=self.call_timeout)
                 return
             except DeviceBusy:
                 attempt += 1
@@ -279,7 +279,7 @@ class MultiVPUScheduler:
             t0 = self.env.now
             try:
                 yield from self._load(graph, item, device_name)
-                result, got = yield graph.get_result(
+                result, got = yield from graph.get_result_inline(
                     timeout=self.call_timeout)
             except FAILOVER_ERRORS as exc:
                 self._handle_failure(graph, device_index, exc, [item],

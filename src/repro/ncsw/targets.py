@@ -56,13 +56,24 @@ class TargetDevice:
 
     name = "target"
     tdp_watts = 0.0
+    #: The environment :meth:`prepare` bound the target to.
+    _env: Optional[Environment] = None
 
     def prepare(self, env: Environment) -> Event:
         """Bring the target up (boot, graph allocation...)."""
         raise NotImplementedError
 
     def process_batch(self, items: list[WorkItem]) -> Event:
-        """Process a batch; event value is a list of records."""
+        """Process a batch as its own process (event value: the list
+        of records), for callers that do not wait on it at once."""
+        if self._env is None:
+            raise FrameworkError(f"{self.name}: prepare() not called")
+        return self._env.process(self.execute(items))
+
+    def execute(self, items: list[WorkItem]
+                ) -> Generator[Event, None, list[InferenceRecord]]:
+        """Process a batch inline (a generator body the waiting caller
+        runs with ``yield from``); returns the list of records."""
         raise NotImplementedError
 
     @property
@@ -104,7 +115,6 @@ class _HostTarget(TargetDevice):
         self.functional = functional
         self.jitter = jitter
         self._device: Optional[InferenceDevice] = None
-        self._env: Optional[Environment] = None
 
     def prepare(self, env: Environment) -> Event:
         self._env = env
@@ -126,13 +136,8 @@ class _HostTarget(TargetDevice):
         (Fig. 6b shows the gain flattening towards batch 16)."""
         return 16
 
-    def process_batch(self, items: list[WorkItem]) -> Event:
-        if self._device is None or self._env is None:
-            raise FrameworkError(f"{self.name}: prepare() not called")
-        return self._env.process(self._process(items))
-
-    def _process(self, items: list[WorkItem]
-                 ) -> Generator[Event, None, list[InferenceRecord]]:
+    def execute(self, items: list[WorkItem]
+                ) -> Generator[Event, None, list[InferenceRecord]]:
         assert self._device is not None and self._env is not None
         t0 = self._env.now
         tensors = [i.tensor for i in items]
@@ -143,7 +148,7 @@ class _HostTarget(TargetDevice):
         if obs is not None:
             span = obs.tracer.begin("infer_batch", track=self.name,
                                     size=len(items))
-        probs = yield self._device.run_batch(x, batch=len(items))
+        probs = yield from self._device._run(x, len(items))
         if obs is not None:
             obs.tracer.end(span)
             for item in items:
@@ -236,7 +241,6 @@ class IntelVPU(TargetDevice):
         self.retry_backoff_s = retry_backoff_s
         self._graph = graph if graph is not None else compile_graph(
             network)  # type: ignore[arg-type]
-        self._env: Optional[Environment] = None
         self._handles: list[GraphHandle] = []
         self.api: Optional[NCAPI] = None
         self._fault_stats = FaultStats()
@@ -338,18 +342,13 @@ class IntelVPU(TargetDevice):
         self._handles = [results[p] for p in allocs
                          if results[p] is not None]
 
-    def process_batch(self, items: list[WorkItem]) -> Event:
-        if self._env is None:
-            raise FrameworkError("IntelVPU: prepare() not called")
+    def execute(self, items: list[WorkItem]
+                ) -> Generator[Event, None, list[InferenceRecord]]:
+        assert self._env is not None
         if not self._handles:
             # Every stick died during bring-up: nothing can run.
             self._fault_stats.abandoned += len(items)
-            return self._env.timeout(0.0, value=[])
-        return self._env.process(self._process(items))
-
-    def _process(self, items: list[WorkItem]
-                 ) -> Generator[Event, None, list[InferenceRecord]]:
-        assert self._env is not None
+            return []
         scheduler = MultiVPUScheduler(
             self._env, self._handles,
             overlap=self.overlap,
@@ -357,7 +356,7 @@ class IntelVPU(TargetDevice):
             call_timeout=self.call_timeout,
             max_retries=self.max_retries,
             retry_backoff_s=self.retry_backoff_s)
-        yield scheduler.run(items)
+        yield from scheduler._run(items)
         # One scheduler per batch; fold its accounting into the
         # run-level stats the framework reads back.
         self._fault_stats.merge(scheduler.fault_stats())

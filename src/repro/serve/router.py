@@ -152,7 +152,7 @@ class Backend:
                     span = obs.tracer.begin(
                         "serve_batch", track=self.track,
                         size=len(batch))
-                records = yield self.target.process_batch(items)
+                records = yield from self.target.execute(items)
                 if obs is not None:
                     obs.tracer.end(span)
                 by_id = {r.index: r for r in records}

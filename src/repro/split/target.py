@@ -69,7 +69,6 @@ class SplitTarget(TargetDevice):
                 plan.cut.back_names)
         self.front_policy, self.back_policy = half_policies(
             self.equivalent_policy)
-        self._env: Optional[Environment] = None
         self._front_units: Optional[Resource] = None
         self._link: Optional[Resource] = None
         self._back_units: Optional[Resource] = None
@@ -99,11 +98,6 @@ class SplitTarget(TargetDevice):
         self._back_units = Resource(env, self.plan.back_parallelism)
         return env.timeout(PREPARE_SECONDS)
 
-    def process_batch(self, items: List[WorkItem]) -> Event:
-        if self._env is None:
-            raise FrameworkError(f"{self.name}: prepare() not called")
-        return self._env.process(self._process(items))
-
     # -- execution ------------------------------------------------------
     def _forward(self, items: List[WorkItem]) -> Optional[np.ndarray]:
         """Composed split forward of a batch (None in timing mode)."""
@@ -117,8 +111,8 @@ class SplitTarget(TargetDevice):
             captured[self.cut.blob], self.back_policy)
         return out.reshape(len(items), -1)
 
-    def _process(self, items: List[WorkItem]
-                 ) -> Generator[Event, Any, List[InferenceRecord]]:
+    def execute(self, items: List[WorkItem]
+                ) -> Generator[Event, Any, List[InferenceRecord]]:
         assert self._env is not None
         probs = self._forward(items)
         procs = [self._env.process(self._pipeline(

@@ -2,7 +2,7 @@
 
 Assembles the component models — SHAVE array, CMX, DDR, DMA, SIPP,
 power islands — and exposes the operation the NCS device model needs:
-run one compiled-graph inference as a DES process, with per-layer
+run one compiled-graph inference as a DES generator body, with per-layer
 timing, SHAVE utilisation accounting and power-island gating.
 
 Nothing observes the layer boundaries inside an inference, so an
@@ -132,14 +132,6 @@ class Myriad2:
         self._emit("deallocate_graph", handle=handle)
 
     # -- inference --------------------------------------------------------------
-    def run_inference(self, graph: CompiledGraph) -> Event:
-        """Execute one inference as a DES process.
-
-        The process event's value is a dict of per-layer seconds
-        (NCAPI ``TIME_TAKEN`` analogue).
-        """
-        return self.env.process(self._inference(graph))
-
     def _plan_for(self, graph: CompiledGraph) -> _GraphPlan:
         """The memoised plan of *graph*; rebuilt when another runs."""
         plan = self._plan
@@ -169,14 +161,15 @@ class Myriad2:
         self._plan = plan
         return plan
 
-    def _inference(self, graph: CompiledGraph
-                   ) -> Generator[Event, None, dict[str, float]]:
-        """Wait for the SHAVE array, gate the islands on, complete in
-        one event, credit the SHAVE and DMA totals, gate them off.
+    def run_inference(self, graph: CompiledGraph
+                      ) -> Generator[Event, None, dict[str, float]]:
+        """Execute one inference (a generator body the device runs
+        inline); returns the per-layer seconds (``TIME_TAKEN``).
 
-        The accounting is credited at completion, so a run stopped
-        mid-inference counts nothing of that inference (the islands
-        are still gated off if the process is torn down).
+        Waits for the SHAVE array, gates the islands on, completes in
+        one event, credits the SHAVE and DMA totals, gates them off.
+        An inference stopped or interrupted mid-way credits nothing;
+        its islands are still gated off and the array released.
         """
         plan = self._plan_for(graph)
         with self._shave_array.request() as req:

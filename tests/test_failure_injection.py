@@ -44,7 +44,7 @@ def test_clean_link_never_fails():
     env = Environment()
     topo, link = _topo_with_error(env, 0.0)
     for _ in range(20):
-        env.run(until=topo.transfer("ncs0", 1000))
+        env.run(until=env.process(topo.transfer("ncs0", 1000)))
     assert link.errors_injected == 0
 
 
@@ -54,7 +54,7 @@ def test_flaky_link_retries_transparently():
     durations = []
     for _ in range(40):
         t0 = env.now
-        env.run(until=topo.transfer("ncs0", 1000))
+        env.run(until=env.process(topo.transfer("ncs0", 1000)))
         durations.append(env.now - t0)
     # Failures happened and were retried (some transfers took the
     # backoff penalty), but every transfer completed.
@@ -67,7 +67,7 @@ def test_dead_link_gives_up_after_max_attempts():
     env = Environment()
     topo, link = _topo_with_error(env, 0.999999)
     with pytest.raises(USBError, match="failed after"):
-        env.run(until=topo.transfer("ncs0", 1000))
+        env.run(until=env.process(topo.transfer("ncs0", 1000)))
     assert link.errors_injected >= USB_MAX_ATTEMPTS
 
 

@@ -46,6 +46,25 @@ def test_hub_consumes_root_port():
         topo.attach_device("direct")  # root port taken by hub
 
 
+def test_rejected_hub_leaks_no_root_port():
+    env = Environment()
+    topo = USBTopology(env, root_ports=2)
+    topo.add_hub("hubA")
+    with pytest.raises(USBError, match="duplicate link 'hubA-up'"):
+        topo.add_hub("hubA")
+    assert topo._root_free == ["root1"]
+    topo.attach_device("direct")  # the port is still free to take
+    assert topo.path("direct") == ("root1",)
+
+
+def test_hub_chains_exist_before_any_hub():
+    env = Environment()
+    topo = USBTopology(env, root_ports=1)
+    with pytest.raises(USBError, match="unknown hub"):
+        topo.attach_device("a", hub="h")
+    assert topo._hub_chains == {}
+
+
 def test_path_root_vs_hub():
     env = Environment()
     topo = USBTopology(env)
@@ -71,7 +90,7 @@ def test_transfer_advances_clock():
     topo = USBTopology(env)
     topo.attach_device("a")
     nbytes = int(USB3_BANDWIDTH_BYTES_S / 100)  # 10 ms
-    env.run(until=topo.transfer("a", nbytes))
+    env.run(until=env.process(topo.transfer("a", nbytes)))
     assert env.now == pytest.approx(0.01 + USB3_LATENCY_S)
     assert topo.links[topo.path("a")[0]].bytes_moved == nbytes
 
@@ -86,7 +105,8 @@ def test_same_hub_transfers_serialise():
     done = []
 
     def proc():
-        yield topo.transfer("a", nbytes) & topo.transfer("b", nbytes)
+        yield (env.process(topo.transfer("a", nbytes))
+               & env.process(topo.transfer("b", nbytes)))
         done.append(env.now)
 
     env.process(proc())
@@ -104,7 +124,8 @@ def test_different_root_ports_parallel():
     done = []
 
     def proc():
-        yield topo.transfer("a", nbytes) & topo.transfer("b", nbytes)
+        yield (env.process(topo.transfer("a", nbytes))
+               & env.process(topo.transfer("b", nbytes)))
         done.append(env.now)
 
     env.process(proc())

@@ -46,14 +46,10 @@ class StubTarget(TargetDevice):
     def preferred_batch_size(self):
         return self.preferred
 
-    def process_batch(self, items):
-        def proc():
-            yield self._env.timeout(self.service_s)
-            self.batches.append([i.index for i in items])
-            return [type("Rec", (), {"index": i.index})()
-                    for i in items]
-
-        return self._env.process(proc())
+    def execute(self, items):
+        yield self._env.timeout(self.service_s)
+        self.batches.append([i.index for i in items])
+        return [type("Rec", (), {"index": i.index})() for i in items]
 
 
 def _request(i, t=0.0, deadline=None):

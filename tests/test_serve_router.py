@@ -43,16 +43,12 @@ class StubTarget(TargetDevice):
     def kill(self):
         self._alive = False
 
-    def process_batch(self, items):
-        def proc():
-            yield self._env.timeout(self.service_s)
-            self.batches.append([i.index for i in items])
-            keep = (items if self.serve_first is None
-                    else items[:self.serve_first])
-            return [type("Rec", (), {"index": i.index})()
-                    for i in keep]
-
-        return self._env.process(proc())
+    def execute(self, items):
+        yield self._env.timeout(self.service_s)
+        self.batches.append([i.index for i in items])
+        keep = (items if self.serve_first is None
+                else items[:self.serve_first])
+        return [type("Rec", (), {"index": i.index})() for i in keep]
 
 
 def _request(i):

@@ -36,7 +36,7 @@ def test_inference_advances_clock_by_estimate(micro_graph):
     env = Environment()
     chip = Myriad2(env)
     chip.allocate_graph(micro_graph)
-    done = env.run(until=chip.run_inference(micro_graph))
+    done = env.run(until=env.process(chip.run_inference(micro_graph)))
     assert env.now == _sequential_end(
         0.0, _layer_seconds(micro_graph, chip.config.freq_hz))
     assert env.now == pytest.approx(micro_graph.inference_seconds)
@@ -53,8 +53,8 @@ def test_inferences_serialise_on_shave_array(micro_graph):
     chip.allocate_graph(micro_graph)
 
     def both():
-        a = chip.run_inference(micro_graph)
-        b = chip.run_inference(micro_graph)
+        a = env.process(chip.run_inference(micro_graph))
+        b = env.process(chip.run_inference(micro_graph))
         yield a & b
 
     env.run(until=env.process(both()))
@@ -85,7 +85,7 @@ def test_shave_utilization_recorded(micro_graph):
     env = Environment()
     chip = Myriad2(env)
     chip.allocate_graph(micro_graph)
-    env.run(until=chip.run_inference(micro_graph))
+    env.run(until=env.process(chip.run_inference(micro_graph)))
     utils = chip.shave_utilization()
     assert len(utils) == 12
     assert utils[0] > 0  # shave0 participates in every layer
@@ -95,7 +95,7 @@ def test_power_islands_gate_around_inference(micro_graph):
     env = Environment()
     chip = Myriad2(env)
     chip.allocate_graph(micro_graph)
-    env.run(until=chip.run_inference(micro_graph))
+    env.run(until=env.process(chip.run_inference(micro_graph)))
     # After the run, SHAVEs are gated again.
     assert not chip.islands.is_on("shave0")
     # Energy was consumed during the inference window.
@@ -110,7 +110,7 @@ def test_energy_scales_with_inference_count(micro_graph):
 
         def proc():
             for _ in range(n):
-                yield chip.run_inference(micro_graph)
+                yield from chip.run_inference(micro_graph)
 
         env.run(until=env.process(proc()))
         return chip.islands.energy_joules()
@@ -123,7 +123,7 @@ def test_trace_events_emitted(micro_graph):
     trace = TraceRecorder(env)
     chip = Myriad2(env, trace=trace)
     chip.allocate_graph(micro_graph)
-    env.run(until=chip.run_inference(micro_graph))
+    env.run(until=env.process(chip.run_inference(micro_graph)))
     assert len(trace.by_action("allocate_graph")) == 1
     assert len(trace.by_action("inference_done")) == 1
 
@@ -132,7 +132,7 @@ def test_ddr_traffic_accounted_for_spilled_layers(micro_graph):
     env = Environment()
     chip = Myriad2(env)
     chip.allocate_graph(micro_graph)
-    env.run(until=chip.run_inference(micro_graph))
+    env.run(until=env.process(chip.run_inference(micro_graph)))
     spilled = [l for l in micro_graph.layers if not l.tile_plan.fits_cmx]
     if spilled:
         assert chip.dma.bytes_moved > 0
@@ -163,7 +163,7 @@ def test_inference_end_time_is_sequential_layer_sum(micro_graph):
     env = Environment(initial_time=offset)
     chip = Myriad2(env)
     chip.allocate_graph(micro_graph)
-    env.run(until=chip.run_inference(micro_graph))
+    env.run(until=env.process(chip.run_inference(micro_graph)))
     assert env.now == _sequential_end(offset, seconds)
     assert env.now != offset + sum(seconds)
 
@@ -173,8 +173,8 @@ def test_per_layer_report_is_cycles_over_clock_in_layer_order(micro_graph):
     chip = Myriad2(env)
     chip.allocate_graph(micro_graph)
     freq = chip.config.freq_hz
-    first = env.run(until=chip.run_inference(micro_graph))
-    second = env.run(until=chip.run_inference(micro_graph))
+    first = env.run(until=env.process(chip.run_inference(micro_graph)))
+    second = env.run(until=env.process(chip.run_inference(micro_graph)))
     expected = {l.name: l.total_cycles / freq for l in micro_graph.layers}
     assert first == expected
     assert list(first) == [l.name for l in micro_graph.layers]
@@ -182,7 +182,8 @@ def test_per_layer_report_is_cycles_over_clock_in_layer_order(micro_graph):
     # report untouched.
     assert second == expected and second is not first
     first.clear()
-    assert env.run(until=chip.run_inference(micro_graph)) == expected
+    third = env.run(until=env.process(chip.run_inference(micro_graph)))
+    assert third == expected
 
 
 def test_shave_and_dma_accounting_matches_reference_loop(micro_graph):
@@ -193,7 +194,7 @@ def test_shave_and_dma_accounting_matches_reference_loop(micro_graph):
 
     def proc():
         for _ in range(n):
-            yield chip.run_inference(micro_graph)
+            yield from chip.run_inference(micro_graph)
 
     env.run(until=env.process(proc()))
     busy = [0] * len(chip.shaves)
@@ -223,7 +224,7 @@ def test_island_energy_matches_one_island_at_a_time_reference(micro_graph):
     def proc():
         for _ in range(3):
             start = env.now
-            yield chip.run_inference(micro_graph)
+            yield from chip.run_inference(micro_graph)
             windows.append((start, env.now))
             yield env.timeout(0.004)
 
