@@ -18,8 +18,7 @@ Campaign fan-out: the figure drivers and the ``chaos-run`` /
 keyword) to spread independent runs across processes.  Results are
 guaranteed identical to the serial run — the flag only buys wall
 clock — so the same knob is safe under a benchmark run; it is kept
-off here by default because per-process timings are what the
-wall-clock suite (``python -m repro perf-run``) measures.
+off here by default so each benchmark times one process.
 """
 
 import os

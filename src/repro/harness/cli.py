@@ -59,25 +59,25 @@ def _obs_from_args(args: argparse.Namespace):
     if trace is None and metrics is None:
         return None
     if trace is not None:
-        _check_trace_path(trace)
+        _check_trace_path(trace, "--trace")
     if metrics is not None:
-        _check_trace_path(metrics)
+        _check_trace_path(metrics, "--metrics")
     from repro.obs import ObsSession
 
     return ObsSession()
 
 
-def _check_trace_path(trace: str) -> None:
-    """Fail before the run, not after: the trace file is written last,
-    and a bad path would discard minutes of simulation."""
+def _check_trace_path(path: str, flag: str) -> None:
+    """Fail before the run, not after: the ``flag`` file is written
+    last, and a bad path would discard minutes of simulation."""
     from pathlib import Path
 
     from repro.errors import ObservabilityError
 
-    parent = Path(trace).resolve().parent
+    parent = Path(path).resolve().parent
     if not parent.is_dir():
         raise ObservabilityError(
-            f"--trace: directory {parent} does not exist")
+            f"{flag}: directory {parent} does not exist")
 
 
 def _finish_trace(args: argparse.Namespace, obs) -> None:
@@ -139,7 +139,6 @@ def _cmd_list(_args: argparse.Namespace) -> int:
           "matched rates")
     print("  trace-analyze  offline timeline/waterfall/alert report "
           "from a --metrics dump")
-    print("  perf-run     wall-clock perf suite (BENCH_PR9.json gate)")
     return 0
 
 
@@ -259,7 +258,7 @@ def _cmd_profile_run(args: argparse.Namespace) -> int:
     from repro.obs import ObsSession, utilisation_report
 
     if args.trace:
-        _check_trace_path(args.trace)
+        _check_trace_path(args.trace, "--trace")
     obs = ObsSession()
     fw = _timing_framework(args.images, obs=obs)
     run = fw.run("synthetic", args.target, batch_size=args.batch)
@@ -1306,41 +1305,6 @@ def _cmd_trace_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_perf_run(args: argparse.Namespace) -> int:
-    """Time the wall-clock perf suite; write and/or check BENCH json.
-
-    ``--check FILE`` is the CI regression gate: the fresh numbers are
-    compared against the committed file after rescaling for machine
-    speed, and any workload more than ``--tolerance`` slower fails
-    the command.
-    """
-    from repro.harness import perf
-
-    mode = "smoke" if args.smoke else "full"
-    samples = perf.run_suite(mode)
-    baseline = (perf.load_bench(args.baseline)
-                if args.baseline else None)
-    print(perf.render_perf_table(
-        samples, (baseline or {}).get("modes"), mode=mode))
-    if args.out:
-        modes = {mode: samples}
-        other = "smoke" if mode == "full" else "full"
-        modes[other] = perf.run_suite(other)
-        path = perf.write_bench(args.out, modes, baseline=baseline)
-        print(f"wrote {path}")
-    if args.check:
-        committed = perf.load_bench(args.check)
-        failures = perf.check_regression(
-            samples, committed, mode=mode, tolerance=args.tolerance)
-        if failures:
-            for line in failures:
-                print(f"PERF REGRESSION: {line}")
-            return 1
-        print(f"perf check passed (mode={mode}, tolerance "
-              f"{args.tolerance:.0%})")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse CLI parser."""
     parser = argparse.ArgumentParser(
@@ -1791,29 +1755,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_analyze.add_argument(
         "--waterfalls", type=int, default=1, metavar="N",
         help="completed request waterfalls to print (default 1)")
-
-    perf_run = sub.add_parser(
-        "perf-run",
-        help="time the wall-clock perf suite; write / check "
-             "BENCH_PR9.json")
-    perf_run.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized workloads (seconds instead of a minute)")
-    perf_run.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write the measured BENCH json here (both modes)")
-    perf_run.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="previously recorded BENCH file to embed in --out "
-             "(adds before/after speedups)")
-    perf_run.add_argument(
-        "--check", default=None, metavar="PATH",
-        help="compare against this committed BENCH file; exits "
-             "non-zero on a regression beyond --tolerance")
-    perf_run.add_argument(
-        "--tolerance", type=float, default=0.25,
-        help="allowed fractional wall-clock regression for --check "
-             "(default 0.25)")
     return parser
 
 
@@ -1856,8 +1797,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_workflow_sweep(args)
     if args.command == "trace-analyze":
         return _cmd_trace_analyze(args)
-    if args.command == "perf-run":
-        return _cmd_perf_run(args)
     raise AssertionError("unreachable")
 
 

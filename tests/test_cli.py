@@ -335,3 +335,12 @@ def test_workflow_sweep_smoke_renders_table(capsys):
 def test_workflow_run_rejects_bad_scale(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["workflow-run", "--scale", "huge"])
+
+
+@pytest.mark.parametrize("flag", ["--trace", "--metrics"])
+def test_missing_output_directory_names_its_flag(tmp_path, flag):
+    from repro.errors import ObservabilityError
+
+    path = tmp_path / "missing" / "out.json"
+    with pytest.raises(ObservabilityError, match=f"^{flag}: directory"):
+        main(["serve-run", "--requests", "5", flag, str(path)])
