@@ -59,11 +59,16 @@ class JPEGDecoder:
     def decode(self, class_index: int, image_id: int) -> np.ndarray:
         """Return uint8 HWC pixels and accrue simulated decode time."""
         img = self.synthesizer.sample(class_index, image_id)
+        self.charge(img.shape[0], img.shape[1])
+        return img
+
+    def charge(self, height: int, width: int) -> None:
+        """Accrue the decode time of one *height* x *width* image
+        without producing its pixels (a caller re-reading pixels it
+        kept still pays the simulated decode)."""
         self._images += 1
         self._seconds += (self.per_image_overhead_s
-                          + img.shape[0] * img.shape[1]
-                          / self.pixels_per_second)
-        return img
+                          + height * width / self.pixels_per_second)
 
     @property
     def stats(self) -> DecodeStats:

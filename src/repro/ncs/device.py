@@ -17,6 +17,12 @@ Functional execution: when ``functional=True`` the device really runs
 the compiled network in FP16 on the submitted tensor; when False it
 produces zeros — used by the timing benchmarks, where paper-scale
 NumPy inference would dominate wall-clock for no measurement benefit.
+Functional results are computed per *wave*: every stick of one bus
+enumeration shares a :class:`ForwardWave` per graph, a stick starting
+an inference joins it, and the first result collected runs one batched
+FP16 forward over every inference then pending.  The forward is batch
+invariant, so each row is the bits a per-image forward gives, and no
+simulation event depends on when the numbers are computed.
 """
 
 from __future__ import annotations
@@ -62,6 +68,60 @@ class _Inference:
     started_at: float = 0.0
     finished_at: float = 0.0
     per_layer: Optional[dict[str, float]] = None
+    #: The wave computing this inference's functional result (None on
+    #: timing-only devices and tensor-less submissions).
+    wave: Optional["ForwardWave"] = None
+
+
+class ForwardWave:
+    """The functional inferences of one graph awaiting their numbers.
+
+    Shared by every stick one bus enumeration (one NCAPI) created, so
+    the sticks of a multi-VPU rig that run side by side get their FP16
+    results from one batched forward instead of one forward each.
+    """
+
+    def __init__(self, graph: CompiledGraph) -> None:
+        self.graph = graph
+        self._pending: list[tuple["NCSDevice", _Inference]] = []
+
+    def __len__(self) -> int:
+        return len(self._pending)
+
+    def join(self, device: "NCSDevice", item: _Inference) -> None:
+        """Queue *item*, which *device* has started running."""
+        item.wave = self
+        self._pending.append((device, item))
+
+    def leave(self, device: "NCSDevice") -> None:
+        """Drop every pending entry of *device* (it died or was reset)."""
+        self._pending = [entry for entry in self._pending
+                         if entry[0] is not device]
+
+    def result(self, device: "NCSDevice",
+               item: _Inference) -> np.ndarray:
+        """*item*'s FP16 output, running the wave's forward if needed.
+
+        An item whose entry was dropped (its stick hung after finishing
+        it, say) rejoins, so a result is always computed from its own
+        tensor.
+        """
+        if item.result is None:
+            if not any(queued is item for _, queued in self._pending):
+                self._pending.append((device, item))
+            items = [queued for _, queued in self._pending]
+            self._pending = []
+            x = np.stack([_image(queued.tensor) for queued in items])
+            probs = self.graph.network.forward(x, PrecisionPolicy.fp16())
+            for queued, row in zip(items, probs):
+                queued.result = row.astype(np.float16)
+        return item.result
+
+
+def _image(tensor: np.ndarray) -> np.ndarray:
+    """The one CHW image of a submitted tensor, as FP32."""
+    x = np.asarray(tensor, dtype=np.float32)
+    return x.reshape((-1,) + x.shape[-3:])[0]
 
 
 class NCSDevice:
@@ -107,6 +167,9 @@ class NCSDevice:
         self._out_fifo = Store(env, capacity=FIFO_DEPTH)
         self._seq = itertools.count()
         self._scheduler: Optional[Event] = None
+        #: Functional waves by graph id; :func:`~repro.ncs.enumeration.
+        #: enumerate_devices` shares one mapping across a bus's sticks.
+        self.waves: dict[int, ForwardWave] = {}
         self.inference_times: list[float] = []
         #: Per-layer seconds of the most recent inference (the NCAPI
         #: GetGraphOption(TIME_TAKEN) payload).
@@ -151,6 +214,7 @@ class NCSDevice:
         """Tear the device down; subsequent operations fail."""
         self.closed = True
         self.booted = False
+        self._leave_waves()
 
     def reset(self) -> Event:
         """``mvncResetDevice`` analogue (process event).
@@ -166,6 +230,7 @@ class NCSDevice:
         if self._scheduler is not None and self._scheduler.is_alive:
             self._scheduler.interrupt("reset")
         self._scheduler = None
+        self._leave_waves()
         dropped = len(self._in_fifo.items) + len(self._out_fifo.items)
         self._in_fifo = Store(self.env, capacity=FIFO_DEPTH)
         self._out_fifo = Store(self.env, capacity=FIFO_DEPTH)
@@ -212,6 +277,7 @@ class NCSDevice:
                 and sched is not self.env.active_process):
             sched.interrupt("device-dead")
         self._scheduler = None
+        self._leave_waves()
         self._emit("device_failed", kind=kind, detail=detail)
         obs = self.env.obs
         if obs is not None:
@@ -243,6 +309,7 @@ class NCSDevice:
                 and sched is not self.env.active_process):
             sched.interrupt("firmware-hang")
         self._scheduler = None
+        self._leave_waves()
         self._emit("device_hung", detail=detail)
         obs = self.env.obs
         if obs is not None:
@@ -383,6 +450,8 @@ class NCSDevice:
             item: _Inference = yield self._in_fifo.get()
             graph = self._require_graph()
             item.started_at = self.env.now
+            if self.functional and item.tensor is not None:
+                self._wave(graph).join(self, item)
             obs = self.env.obs
             span = None
             if obs is not None:
@@ -424,7 +493,10 @@ class NCSDevice:
                     yield self.env.timeout(elapsed * (factor - 1.0))
             item.per_layer = per_layer
             self.last_per_layer = per_layer
-            item.result = self._compute_result(graph, item.tensor)
+            if item.wave is None:
+                item.result = np.zeros(
+                    (graph.output_shape.c, graph.output_shape.h,
+                     graph.output_shape.w), dtype=np.float16)
             item.finished_at = self.env.now
             self.inference_times.append(
                 item.finished_at - item.started_at)
@@ -438,17 +510,15 @@ class NCSDevice:
             self._emit("inference_complete", seq=item.seq,
                        seconds=item.finished_at - item.started_at)
 
-    def _compute_result(self, graph: CompiledGraph,
-                        tensor: Optional[np.ndarray]) -> np.ndarray:
-        out_shape = (graph.output_shape.c, graph.output_shape.h,
-                     graph.output_shape.w)
-        if not self.functional or tensor is None:
-            return np.zeros(out_shape, dtype=np.float16)
-        x = np.asarray(tensor, dtype=np.float32)
-        if x.ndim == 3:
-            x = x[None]
-        probs = graph.network.forward(x, PrecisionPolicy.fp16())
-        return probs[0].astype(np.float16)
+    def _wave(self, graph: CompiledGraph) -> ForwardWave:
+        wave = self.waves.get(id(graph))
+        if wave is None or wave.graph is not graph:
+            wave = self.waves[id(graph)] = ForwardWave(graph)
+        return wave
+
+    def _leave_waves(self) -> None:
+        for wave in self.waves.values():
+            wave.leave(self)
 
     def collect(self) -> Generator[Event, None, tuple]:
         """Device half of ``mvncGetResult``: a generator body returning
@@ -463,6 +533,8 @@ class NCSDevice:
             self.topology.transfer(self.device_id,
                                    graph.output_tensor_bytes))
         self._emit("result_read", seq=item.seq)
+        if item.wave is not None:
+            return item.wave.result(self, item), item.user
         return item.result, item.user
 
     # -- helpers -----------------------------------------------------------------

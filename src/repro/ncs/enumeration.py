@@ -24,13 +24,20 @@ def enumerate_devices(env: Environment, topology: USBTopology,
                       functional: bool = True,
                       trace: Optional[TraceRecorder] = None
                       ) -> list[NCSDevice]:
-    """Instantiate an :class:`NCSDevice` for every attached stick."""
+    """Instantiate an :class:`NCSDevice` for every attached stick.
+
+    The sticks share one mapping of functional waves, so those running
+    the same graph batch their FP16 forwards together.
+    """
     devices = [NCSDevice(env, device_id, topology, firmware=firmware,
                          chip_config=chip_config, functional=functional,
                          trace=trace)
                for device_id in topology.devices]
     if not devices:
         raise DeviceNotFound("no NCS devices attached to the topology")
+    waves = devices[0].waves
+    for device in devices:
+        device.waves = waves
     return devices
 
 

@@ -92,6 +92,8 @@ class NCSw:
                 f"batch_size must be >= 1, got {batch_size}")
         source = self.source(source_name)
         target = self.target(target_name)
+        decoded_before = (source.decoder.stats.seconds
+                          if isinstance(source, ImageFolder) else 0.0)
         items = list(itertools.islice(iter(source), limit))
         if not items:
             raise FrameworkError(f"source {source_name!r} is empty")
@@ -100,6 +102,10 @@ class NCSw:
         obs = env.obs
         result = RunResult(source=source_name, target=target_name,
                            batch_size=batch_size)
+        if isinstance(source, ImageFolder):
+            # This run's own decode cost, not the source's running total.
+            result.decode_seconds_excluded = (
+                source.decoder.stats.seconds - decoded_before)
 
         def main() -> Generator[Event, None, None]:
             prep = None
@@ -130,8 +136,6 @@ class NCSw:
                 obs.tracer.end(root)
 
         env.run(until=env.process(main()))
-        if isinstance(source, ImageFolder):
-            result.decode_seconds_excluded = source.decoder.stats.seconds
         self._fold_fault_stats(target, result)
         return result
 

@@ -46,12 +46,26 @@ class SourceImage:
         raise NotImplementedError
 
 
+#: Bytes of prepared tensors one :class:`ImageFolder` keeps between
+#: passes: a default-scale subset (200 images of 3x64x64 FP32, about
+#: 9.8 MB) fits whole; of a paper-scale one (3x224x224) it keeps the
+#: first 111 images.
+STORE_BYTES = 64 * 2**20
+
+
 class ImageFolder(SourceImage):
     """A directory of validation images (one ILSVRC subset).
 
     Decodes through the simulated JPEG decoder (whose time the paper
     excludes from results — available via :attr:`decoder`) and
     preprocesses to the network's input geometry.
+
+    Each image is decoded and preprocessed once: the prepared tensor
+    is kept, read-only, in a store of at most :data:`STORE_BYTES` that
+    fills in iteration order and never evicts, so every later pass
+    over the kept prefix reuses it.  Every pass still charges the
+    decoder for every image, so :attr:`decoder` stats are the same as
+    if each pass had decoded again.
     """
 
     name = "image_folder"
@@ -69,6 +83,10 @@ class ImageFolder(SourceImage):
             if limit < 1:
                 raise FrameworkError(f"limit must be >= 1, got {limit}")
             self._ids = self._ids[:limit]
+        #: Prepared tensors by index, with the decoded image's height
+        #: and width to charge the decoder on a re-read.
+        self._store: list[tuple[np.ndarray, int, int]] = []
+        self._store_bytes = 0
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -76,8 +94,19 @@ class ImageFolder(SourceImage):
     def __iter__(self) -> Iterator[WorkItem]:
         for index, image_id in enumerate(self._ids):
             record = self.dataset.record(image_id)
-            pixels = self.decoder.decode(record.label, record.image_id)
-            tensor = self.preprocessor(pixels)
+            if index < len(self._store):
+                tensor, height, width = self._store[index]
+                self.decoder.charge(height, width)
+            else:
+                pixels = self.decoder.decode(record.label,
+                                             record.image_id)
+                tensor = self.preprocessor(pixels)
+                tensor.flags.writeable = False
+                if (index == len(self._store) and self._store_bytes
+                        + tensor.nbytes <= STORE_BYTES):
+                    self._store.append(
+                        (tensor, pixels.shape[0], pixels.shape[1]))
+                    self._store_bytes += tensor.nbytes
             yield WorkItem(index=index, image_id=image_id,
                            label=record.label, tensor=tensor)
 

@@ -39,9 +39,13 @@ class InnerProduct(Layer):
         return [BlobShape(s.n, self.num_output, 1, 1)]
 
     def forward(self, inputs: Sequence[np.ndarray]) -> list[np.ndarray]:
+        # One vector-matrix product per image, as a batch of one runs:
+        # a single GEMM over N rows lets BLAS pick a kernel by N and
+        # round differently, so a row would depend on its batch.
         x = inputs[0]
-        flat = x.reshape(x.shape[0], -1)
-        out = flat @ self.params["weight"].T + self.params["bias"]
+        rows = x.reshape(x.shape[0], 1, -1)
+        out = (np.matmul(rows, self.params["weight"].T)[:, 0]
+               + self.params["bias"])
         return [out.reshape(x.shape[0], self.num_output, 1, 1)]
 
     def macs(self, input_shapes: Sequence[BlobShape]) -> int:

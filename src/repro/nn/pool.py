@@ -65,38 +65,40 @@ class Pooling(Layer):
     def forward(self, inputs: Sequence[np.ndarray]) -> list[np.ndarray]:
         x = inputs[0]
         n, c, h, w = x.shape
-        s = BlobShape(n, c, h, w)
-        k, stride, pad = self._geometry(s)
+        k, stride, pad = self._geometry(BlobShape(n, c, h, w))
         oh, ow = pool_output_hw(h, w, k, stride, pad)
-
-        if self.method is PoolMethod.MAX:
-            fill = np.float32(-np.inf)
+        # Rows and columns the windows reach, counted from the top-left
+        # padded cell; ceil mode can run past the padded input.
+        need_h = stride * (oh - 1) + k
+        need_w = stride * (ow - 1) + k
+        if pad == 0 and need_h <= h and need_w <= w:
+            xp = x
         else:
-            fill = np.float32(0.0)
-        xp = np.full((n, c, h + 2 * pad + k, w + 2 * pad + k), fill,
-                     dtype=x.dtype)
-        xp[:, :, pad:pad + h, pad:pad + w] = x
-
-        # Each (di, dj) window offset is a strided *view* of the padded
-        # input — no per-offset gather copies.  Max pooling folds the
-        # views with a running in-place maximum (exact in any order);
-        # average pooling still stacks and uses NumPy's pairwise sum so
-        # results stay bit-identical to the stacked reduction.
-        def window(di: int, dj: int) -> np.ndarray:
-            return xp[:, :, di:di + stride * (oh - 1) + 1:stride,
-                      dj:dj + stride * (ow - 1) + 1:stride]
+            fill = (np.float32(-np.inf) if self.method is PoolMethod.MAX
+                    else np.float32(0.0))
+            xp = np.full((n, c, max(need_h, pad + h), max(need_w, pad + w)),
+                         fill, dtype=x.dtype)
+            xp[:, :, pad:pad + h, pad:pad + w] = x
 
         if self.method is PoolMethod.MAX:
-            out = np.array(window(0, 0))
-            for di in range(k):
-                for dj in range(k):
-                    if di or dj:
-                        np.maximum(out, window(di, dj), out=out)
-            return [out]
+            # Separable: a running max along each row, then down each
+            # column -- 2k strided passes instead of k*k.  Max is exact
+            # and the fold keeps the (row, column) order of the k*k
+            # windows, so ties and NaNs resolve to the same element.
+            rows = _running_max([
+                xp[:, :, :need_h, dj:dj + stride * (ow - 1) + 1:stride]
+                for dj in range(k)])
+            return [_running_max([
+                rows[:, :, di:di + stride * (oh - 1) + 1:stride]
+                for di in range(k)])]
+        # Average pooling stacks the k*k window views and uses NumPy's
+        # pairwise sum, so the rounding order stays fixed.
         stack = np.empty((k * k, n, c, oh, ow), dtype=x.dtype)
         for di in range(k):
             for dj in range(k):
-                stack[di * k + dj] = window(di, dj)
+                stack[di * k + dj] = xp[
+                    :, :, di:di + stride * (oh - 1) + 1:stride,
+                    dj:dj + stride * (ow - 1) + 1:stride]
         # Caffe averages over the full k*k window including padding.
         return [stack.sum(axis=0) / np.float32(k * k)]
 
@@ -105,3 +107,14 @@ class Pooling(Layer):
         s = input_shapes[0]
         k, _, _ = self._geometry(s)
         return out.count * k * k
+
+
+def _running_max(views: list[np.ndarray]) -> np.ndarray:
+    """Elementwise maximum of *views* folded left to right, as a new
+    array."""
+    if len(views) == 1:
+        return np.array(views[0])
+    out = np.maximum(views[0], views[1])
+    for view in views[2:]:
+        np.maximum(out, view, out=out)
+    return out

@@ -197,3 +197,15 @@ def test_host_target_tdp(micro_setup, micro_graph):
     net, _, _ = micro_setup
     assert IntelCPU(net).tdp_watts == 80.0
     assert NvGPU(net).tdp_watts == 80.0
+
+
+def test_decode_seconds_excluded_is_per_run(micro_setup, micro_graph):
+    # Each run reports its own pass's decode cost, not the source's
+    # running total since it was built.
+    fw = _fw(micro_setup, micro_graph)
+    costs = [fw.run("val0", name, batch_size=4).decode_seconds_excluded
+             for name in ("cpu", "gpu", "vpu")]
+    assert costs[0] > 0
+    assert costs == pytest.approx([costs[0]] * 3, rel=1e-12)
+    assert fw.source("val0").decoder.stats.seconds == pytest.approx(
+        sum(costs), rel=1e-12)

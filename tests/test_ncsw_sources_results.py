@@ -51,6 +51,65 @@ def test_image_folder_reiterable_and_tracks_decode():
     assert src.decoder.stats.images == 8  # two passes of 4
 
 
+def test_image_folder_repasses_equal_a_cold_decode():
+    # Later passes reuse the kept tensors: the same bits as decoding
+    # afresh, read-only so no consumer can corrupt the next pass.
+    ds = _dataset()
+    src = ImageFolder(ds, subset=0, preprocessor=Preprocessor(32))
+    passes = [list(src) for _ in range(3)]
+    cold = [Preprocessor(32)(ds.pixels(i.image_id)) for i in passes[0]]
+    for items in passes:
+        assert [i.tensor.tobytes() for i in items] == \
+            [c.tobytes() for c in cold]
+        assert not any(i.tensor.flags.writeable for i in items)
+    with pytest.raises(ValueError):
+        passes[1][0].tensor[0, 0, 0] = 0.0
+
+
+def test_image_folder_charges_every_pass_like_a_decode():
+    # Decoder stats after N passes equal N full decodes of the subset,
+    # accrued in the same order.
+    from repro.data.decode import JPEGDecoder
+
+    ds = _dataset()
+    src = ImageFolder(ds, subset=0, preprocessor=Preprocessor(32),
+                      limit=6)
+    fresh = JPEGDecoder(ds.synthesizer)
+    for _ in range(3):
+        ids = [i.image_id for i in src]
+        for image_id in ids:
+            fresh.decode(ds.record(image_id).label, image_id)
+    assert src.decoder.stats == fresh.stats
+    assert src.decoder.stats.images == 18
+
+
+def test_image_folder_store_is_bounded(monkeypatch):
+    # Past the byte budget the store stops growing (it never evicts):
+    # the kept prefix is reused, the rest is decoded on every pass.
+    from repro.data.generator import ImageSynthesizer
+    from repro.ncsw import sources
+
+    ds = _dataset()
+    tensor_bytes = 3 * 32 * 32 * 4
+    monkeypatch.setattr(sources, "STORE_BYTES", 3 * tensor_bytes)
+    sampled = []
+    real_sample = ImageSynthesizer.sample
+
+    def counting_sample(self, class_index, image_id):
+        sampled.append(image_id)
+        return real_sample(self, class_index, image_id)
+
+    monkeypatch.setattr(ImageSynthesizer, "sample", counting_sample)
+    src = ImageFolder(ds, subset=0, preprocessor=Preprocessor(32))
+    first = [i.tensor.tobytes() for i in src]
+    assert sampled == list(range(1, 11))
+    sampled.clear()
+    second = [i.tensor.tobytes() for i in src]
+    assert sampled == list(range(4, 11))
+    assert first == second
+    assert src.decoder.stats.images == 20
+
+
 def test_synthetic_source():
     src = SyntheticSource(5)
     items = list(src)
