@@ -2,14 +2,15 @@
 
 ::
 
-    python -m repro list
+    python -m repro list                     # every command, one line
     python -m repro fig6a --images 160 --trace /tmp/fig6a.json
-    python -m repro fig7a --scale default
-    python -m repro headline
     python -m repro report --scale smoke     # everything
-    python -m repro profile --model googlenet-mini
-    python -m repro profile-run --target vpu8 --trace /tmp/run.json
-    python -m repro chaos-run --devices 8 --kill-at 0.5 --kind death
+
+``COMMANDS`` at the end of this module is the one table of
+subcommands.  Each entry holds the line ``list`` prints, the flag
+groups its parser is built from, the handler ``main`` dispatches to,
+and the defaults the command overrides.  Every flag is declared once,
+in one flag group.
 
 ``--trace out.json`` on any experiment records a span timeline into
 a Chrome/Perfetto ``trace_event`` file (open at
@@ -22,7 +23,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable, NamedTuple, Sequence
 
 from repro.harness import figures
 from repro.harness.ascii_plot import bar_chart, line_chart
@@ -50,6 +52,12 @@ _FIGURES: dict[str, tuple[str, Callable]] = {
               lambda args, obs=None: figures.fig8b_projected_throughput(
                   images=args.images, obs=obs, jobs=args.jobs)),
 }
+
+_BAR_FIGURES = {"fig6a", "fig7a"}
+
+
+class _Usage(Exception):
+    """A bad option value: ``main`` prints the message and exits 2."""
 
 
 def _obs_from_args(args: argparse.Namespace):
@@ -80,14 +88,15 @@ def _check_trace_path(path: str, flag: str) -> None:
             f"{flag}: directory {parent} does not exist")
 
 
-def _finish_trace(args: argparse.Namespace, obs) -> None:
+def _finish_trace(args: argparse.Namespace, obs,
+                  wall_seconds: float | None = None) -> None:
     """Print the utilisation report and write the trace file."""
     if obs is None:
         return
     from repro.harness.export import save_trace_json
     from repro.obs import utilisation_report
 
-    print(utilisation_report(obs))
+    print(utilisation_report(obs, wall_seconds))
     if getattr(args, "trace", None) is not None:
         path = save_trace_json(obs, args.trace)
         print(f"wrote trace {path} "
@@ -100,46 +109,62 @@ def _finish_trace(args: argparse.Namespace, obs) -> None:
               f"`python -m repro trace-analyze {path}`)")
 
 
-def _serve_trace_extras(obs) -> None:
-    """Per-request waterfall of the first completed sampled trace."""
+def _alerts(obs, result) -> dict:
+    """The ``alerts``/``policy`` keywords of a serving report: the
+    burn-rate policy over the run and what it fires; none without
+    observability."""
+    if obs is None:
+        return {}
+    from repro.obs import default_policy, serve_alerts
+
+    return {"alerts": serve_alerts(result, session=obs),
+            "policy": default_policy(result.wall_seconds)}
+
+
+def _finish_serving(args: argparse.Namespace, obs) -> None:
+    """The observability tail of a serving report: a blank line, the
+    first completed sampled request's waterfall, then the trace."""
     if obs is None:
         return
     from repro.obs import render_waterfall
 
+    print()
     done = [t for t in obs.reqtrace.traces() if t.completed]
     if done:
         print(render_waterfall(obs.reqtrace, done[0].trace_id))
         print()
+    _finish_trace(args, obs)
 
-_BAR_FIGURES = {"fig6a", "fig7a"}
+
+def _check_kill_at(args: argparse.Namespace) -> None:
+    if not 0.0 <= args.kill_at <= 1.0:
+        raise _Usage(f"--kill-at must be in [0, 1], got {args.kill_at}")
 
 
-def _cmd_list(_args: argparse.Namespace) -> int:
-    print("available experiments:")
-    for name, (desc, _) in _FIGURES.items():
-        print(f"  {name:<9} {desc}")
-    print("  headline  the paper's §IV/§V headline numbers")
-    print("  audit     verify every quantitative claim in the paper")
-    print("  report    all of the above in one run")
-    print("  profile   per-layer VPU timing report for a zoo model")
-    print("  profile-run  one instrumented run + utilisation report")
-    print("  chaos-run    seeded fault-injection sweep (kill stick k)")
-    print("  serve-run    open-loop serving run with an SLO report")
-    print("  serve-sweep  max sustainable arrival rate per config")
-    print("  split-sweep  Pareto map of two-tier layer-cut "
-          "placements")
-    print("  cluster-run  sharded multi-host serving run (MPI sim)")
-    print("  cluster-sweep  max sustainable rate per cluster size")
-    print("  autoscale-run  elastic cluster run under a diurnal day")
-    print("  autoscale-sweep  cost-vs-SLO frontier: autoscalers vs "
-          "fixed-N")
-    print("  workflow-run  multi-model workflow DAG run (cascade / "
-          "ensemble / escalate)")
-    print("  workflow-sweep  cascade vs monolithic classify at "
-          "matched rates")
-    print("  trace-analyze  offline timeline/waterfall/alert report "
-          "from a --metrics dump")
-    return 0
+def _check_kill_stick(stick: int | None, rigs: list[int]) -> None:
+    """``--kill-stick K`` must name a stick of every plain VPU rig
+    (given by stick count); checked before any baseline runs."""
+    if stick is None:
+        return
+    if not rigs:
+        raise _Usage("--kill-stick needs a plain vpuN backend")
+    if not 0 <= stick < min(rigs):
+        raise _Usage(f"--kill-stick must be in [0, {min(rigs) - 1}], "
+                     f"got {stick}")
+
+
+def _tokens(spec: str, flag: str, what: str) -> list[str]:
+    """The non-empty tokens of a comma list; at least one."""
+    tokens = [t.strip() for t in spec.split(",") if t.strip()]
+    if not tokens:
+        raise _Usage(f"{flag}: no {what} given")
+    return tokens
+
+
+def _functional_scale(args: argparse.Namespace) -> str | None:
+    """The functional scale, or None when ``--scale none`` skips the
+    functional (top-1 error) experiments."""
+    return None if args.scale in (None, "none") else args.scale
 
 
 def _render(name: str, result) -> None:
@@ -152,27 +177,45 @@ def _render(name: str, result) -> None:
     print()
 
 
-def _cmd_figure(name: str, args: argparse.Namespace) -> int:
+def _save_json(args: argparse.Namespace, name: str, result):
+    """Save ``result`` as ``<--json-dir>/<name>.json``; the path, or
+    None without ``--json-dir``."""
+    if not args.json_dir:
+        return None
+    from pathlib import Path
+
+    from repro.harness.export import save_figure_json
+
+    out = Path(args.json_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    save_figure_json(result, out / f"{name}.json")
+    return out / f"{name}.json"
+
+
+def _cmd_list(_args: argparse.Namespace) -> int:
+    width = max(len(name) for name in COMMANDS)
+    print("available experiments:")
+    for name, command in COMMANDS.items():
+        if name != "list":
+            print(f"  {name:<{width}}  {command.description}")
+    return 0
+
+
+def _cmd_figure(args: argparse.Namespace) -> int:
     obs = _obs_from_args(args)
-    result = _FIGURES[name][1](args, obs)
-    _render(name, result)
+    result = _FIGURES[args.command][1](args, obs)
+    _render(args.command, result)
     _finish_trace(args, obs)
-    if getattr(args, "json_dir", None):
-        from pathlib import Path
-
-        from repro.harness.export import save_figure_json
-
-        out = Path(args.json_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        save_figure_json(result, out / f"{name}.json")
-        print(f"saved {out / (name + '.json')}")
+    path = _save_json(args, args.command, result)
+    if path is not None:
+        print(f"saved {path}")
     return 0
 
 
 def _cmd_headline(args: argparse.Namespace) -> int:
-    scale = None if args.scale in (None, "none") else args.scale
     obs = _obs_from_args(args)
-    rows = figures.headline_table(images=args.images, error_scale=scale,
+    rows = figures.headline_table(images=args.images,
+                                  error_scale=_functional_scale(args),
                                   obs=obs, jobs=args.jobs)
     print(render_comparison(rows, title="headline: paper vs measured"))
     _finish_trace(args, obs)
@@ -180,33 +223,23 @@ def _cmd_headline(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    md_sections: list[str] = []
     results = {}
     obs = _obs_from_args(args)
-    skip_functional = args.scale in (None, "none")
+    scale = _functional_scale(args)
     names = [n for n in _FIGURES
-             if not (skip_functional and n in ("fig7a", "fig7b"))]
+             if not (scale is None and n in ("fig7a", "fig7b"))]
     for name in names:
         print("=" * 72)
         results[name] = _FIGURES[name][1](args, obs)
         _render(name, results[name])
-        if getattr(args, "json_dir", None):
-            from pathlib import Path
-
-            from repro.harness.export import save_figure_json
-
-            out = Path(args.json_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            save_figure_json(results[name], out / f"{name}.json")
+        _save_json(args, name, results[name])
     print("=" * 72)
-    scale = None if args.scale in (None, "none") else args.scale
-    rows = figures.headline_table(images=args.images,
-                                  error_scale=scale, obs=obs,
-                                  jobs=args.jobs)
+    rows = figures.headline_table(images=args.images, error_scale=scale,
+                                  obs=obs, jobs=args.jobs)
     print(render_comparison(rows, title="headline: paper vs measured"))
     _finish_trace(args, obs)
 
-    if getattr(args, "markdown", None):
+    if args.markdown:
         from pathlib import Path
 
         from repro.harness.tables import (
@@ -214,11 +247,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
             render_figure_markdown,
         )
 
-        md_sections = [render_figure_markdown(results[n])
-                       for n in names]
         md = ("# Reproduction report\n\n"
               + render_comparison_markdown(rows) + "\n"
-              + "\n".join(md_sections))
+              + "\n".join(render_figure_markdown(results[n])
+                          for n in names))
         Path(args.markdown).write_text(md)
         print(f"wrote {args.markdown}")
     return 0
@@ -233,8 +265,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
     obs = _obs_from_args(args)
     results = verify_claims(images=args.images, obs=obs)
-    if args.scale not in (None, "none"):
-        results = results + verify_functional_claims(scale=args.scale)
+    scale = _functional_scale(args)
+    if scale is not None:
+        results = results + verify_functional_claims(scale=scale)
     print(render_audit(results))
     _finish_trace(args, obs)
     return 0 if all(r.passed for r in results) else 1
@@ -255,37 +288,31 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _cmd_profile_run(args: argparse.Namespace) -> int:
     from repro.harness.figures import _timing_framework
-    from repro.obs import ObsSession, utilisation_report
+    from repro.obs import ObsSession
 
-    if args.trace:
-        _check_trace_path(args.trace, "--trace")
-    obs = ObsSession()
+    obs = _obs_from_args(args) or ObsSession()
     fw = _timing_framework(args.images, obs=obs)
     run = fw.run("synthetic", args.target, batch_size=args.batch)
     print(run.summary())
     print()
-    print(utilisation_report(obs, run.wall_seconds))
-    if args.trace:
-        from repro.harness.export import save_trace_json
-
-        path = save_trace_json(obs, args.trace)
-        print(f"wrote trace {path} (open in https://ui.perfetto.dev)")
+    _finish_trace(args, obs, run.wall_seconds)
     return 0
 
 
-def _chaos_point(point: tuple[int, int, int, float, object]):
-    """Worker for one chaos-run victim: a fresh fault-tolerant run.
+def _chaos_run(images: int, devices: int, batch: int, timeout, plan,
+               obs=None):
+    """One timing-only run of the multi-VPU rig under fault ``plan``
+    (None: healthy).
 
-    Each plan gets its own framework and simulation environment, so
+    Each run gets its own framework and simulation environment, so
     the runs are independent and the seeded plans make them
     deterministic — fanning them across processes returns the same
     :class:`RunResult` values as the serial sweep.
     """
-    images, devices, batch, timeout, plan = point
-    from repro.harness.figures import paper_timing_graph
+    from repro.harness.experiment import paper_timing_graph
     from repro.ncsw import IntelVPU, NCSw, SyntheticSource
 
-    fw = NCSw()
+    fw = NCSw(obs=obs)
     fw.add_source("synthetic", SyntheticSource(images))
     fw.add_target("vpu", IntelVPU(
         graph=paper_timing_graph(), num_devices=devices,
@@ -304,24 +331,17 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
     ``--jobs N`` fans the per-victim runs across processes (tracing
     keeps the sweep serial).
     """
-    from repro.harness.figures import paper_timing_graph
-    from repro.ncsw import FaultPlan, IntelVPU, NCSw, SyntheticSource
+    from repro.harness.experiment import parallel_map
+    from repro.ncsw import FaultPlan
     from repro.ncsw.faults import BUSY
 
-    if not 0.0 <= args.kill_at <= 1.0:
-        print(f"--kill-at must be in [0, 1], got {args.kill_at}")
-        return 2
-    graph = paper_timing_graph()
-
-    def make_run(plan=None, timeout=None, obs=None):
-        fw = NCSw(obs=obs)
-        fw.add_source("synthetic", SyntheticSource(args.images))
-        fw.add_target("vpu", IntelVPU(
-            graph=graph, num_devices=args.devices, functional=False,
-            fault_plan=plan, call_timeout=timeout))
-        return fw.run("synthetic", "vpu", batch_size=args.batch)
-
-    base = make_run()
+    _check_kill_at(args)
+    if args.kill_stick is not None and args.random_plans > 0:
+        raise _Usage("--kill-stick and --random-plans are exclusive "
+                     "(each random plan draws its own victim)")
+    _check_kill_stick(args.kill_stick, [args.devices])
+    run = partial(_chaos_run, args.images, args.devices, args.batch)
+    base = run(None, None)
     t_start = min(r.t_submit for r in base.records)
     kill_time = t_start + args.kill_at * base.wall_seconds
     max_latency = max(r.latency for r in base.records)
@@ -355,15 +375,9 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
                                 else 0.0)))
                  for victim in victims]
     obs = _obs_from_args(args)
-    if args.jobs > 1 and obs is None:
-        from repro.harness.experiment import parallel_map
-
-        points = [(args.images, args.devices, args.batch, timeout,
-                   plan) for _, plan in plans]
-        runs = parallel_map(_chaos_point, points, jobs=args.jobs)
-    else:
-        runs = [make_run(plan=plan, timeout=timeout, obs=obs)
-                for _, plan in plans]
+    runs = parallel_map(partial(run, timeout, obs=obs),
+                        [plan for _, plan in plans],
+                        jobs=args.jobs if obs is None else 1)
     failed = False
     for (label, plan), res in zip(plans, runs):
         ok = res.images == args.images - res.abandoned
@@ -395,8 +409,7 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
 def _parse_split_token(token: str):
     """Parse a split token like ``vpu4+cpu`` into (front, back, sticks).
 
-    Exactly one side must be the VPU; the other a host tier.  Returns
-    None (after printing the error) on a malformed token.
+    Exactly one side must be the VPU; the other a host tier.
     """
     def side(part: str):
         if part in ("cpu", "gpu"):
@@ -409,26 +422,25 @@ def _parse_split_token(token: str):
 
     parts = token.split("+")
     if len(parts) != 2:
-        print(f"split spec {token!r} must be <front>+<back>")
-        return None
+        raise _Usage(f"split spec {token!r} must be <front>+<back>")
     (front, n_front), (back, n_back) = side(parts[0]), side(parts[1])
     if front is None or back is None or \
             (front == "vpu") == (back == "vpu"):
-        print(f"split spec {token!r} needs exactly one vpu side and "
-              "one of cpu/gpu (e.g. vpu4+cpu, cpu+vpu2)")
-        return None
+        raise _Usage(f"split spec {token!r} needs exactly one vpu side "
+                     "and one of cpu/gpu (e.g. vpu4+cpu, cpu+vpu2)")
     return front, back, (n_front if n_front is not None else n_back)
 
 
-def _serve_targets(spec: str, *, fault_plan=None, call_timeout=None):
-    """Build named targets from a spec like ``vpu8`` or ``vpu4,cpu``.
+def _target(token: str, flag: str, *, split: bool, fault_plan=None,
+            call_timeout=None):
+    """One target from a ``cpu``, ``gpu`` or ``vpuN`` (N sticks, 1-8)
+    token.
 
-    Tokens: ``cpu``, ``gpu``, ``vpuN`` (N sticks, 1-8), or a split
-    placement ``<front>+<back>`` with exactly one VPU side
-    (``vpu4+cpu``, ``cpu+vpu2``) — the latency-optimal cut of the
-    paper network pipelined across the two tiers.  All targets run
-    timing-only (non-functional) on the paper-scale GoogLeNet.
-    A fault plan / call timeout applies to every VPU token.
+    With ``split``, also a placement ``<front>+<back>`` with exactly
+    one VPU side (``vpu4+cpu``, ``cpu+vpu2``): the latency-optimal cut
+    of the paper network pipelined across the two tiers.  Every
+    target runs timing-only (non-functional) on the paper-scale
+    GoogLeNet; a fault plan / call timeout arms a plain VPU token.
     """
     from repro.harness.experiment import (
         paper_timing_graph,
@@ -436,40 +448,73 @@ def _serve_targets(spec: str, *, fault_plan=None, call_timeout=None):
     )
     from repro.ncsw import IntelCPU, IntelVPU, NvGPU
 
-    targets = {}
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token == "cpu":
-            targets[token] = IntelCPU(paper_timing_network(),
-                                      functional=False)
-        elif token == "gpu":
-            targets[token] = NvGPU(paper_timing_network(),
-                                   functional=False)
-        elif "+" in token:
-            from repro.split import build_split_target
-            parsed = _parse_split_token(token)
-            if parsed is None:
-                return None
-            front, back, sticks = parsed
-            targets[token] = build_split_target(
-                paper_timing_network(), graph=paper_timing_graph(),
-                front=front, back=back, num_sticks=sticks,
-                functional=False)
-        elif token.startswith("vpu") and token[3:].isdigit():
-            targets[token] = IntelVPU(
-                graph=paper_timing_graph(),
-                num_devices=int(token[3:]), functional=False,
-                fault_plan=fault_plan, call_timeout=call_timeout)
-        else:
-            print(f"--backends: unknown token {token!r} "
-                  "(expected cpu, gpu, vpuN or front+back)")
-            return None
-    if not targets:
-        print("--backends: no targets given")
-        return None
-    return targets
+    if token == "cpu":
+        return IntelCPU(paper_timing_network(), functional=False)
+    if token == "gpu":
+        return NvGPU(paper_timing_network(), functional=False)
+    if token.startswith("vpu") and token[3:].isdigit():
+        return IntelVPU(graph=paper_timing_graph(),
+                        num_devices=int(token[3:]), functional=False,
+                        fault_plan=fault_plan, call_timeout=call_timeout)
+    if split and "+" in token:
+        from repro.split import build_split_target
+
+        front, back, sticks = _parse_split_token(token)
+        return build_split_target(
+            paper_timing_network(), graph=paper_timing_graph(),
+            front=front, back=back, num_sticks=sticks, functional=False)
+    expected = "cpu, gpu, vpuN or front+back" if split else \
+        "cpu, gpu or vpuN"
+    raise _Usage(f"{flag}: unknown token {token!r} (expected {expected})")
+
+
+def _serve_targets(spec: str, **faults) -> dict:
+    """One target per ``--backends`` token (see :func:`_target`),
+    keyed by the token; ``faults`` arm every plain VPU token."""
+    return {token: _target(token, "--backends", split=True, **faults)
+            for token in _tokens(spec, "--backends", "targets")}
+
+
+def _cluster_targets(hosts: int, spec: str) -> list:
+    """One fresh target per host from a spec like ``vpu2`` or
+    ``vpu4,cpu``.
+
+    Tokens cycle across the hosts, so ``--hosts 4 --host-backends
+    vpu2,cpu`` alternates VPU and CPU hosts.  Every host gets its own
+    target instance — cluster hosts share nothing but the simulated
+    interconnect.  Split placements are serve-only.
+    """
+    if hosts < 1:
+        raise _Usage(f"--hosts: need at least 1 host, got {hosts}")
+    tokens = _tokens(spec, "--host-backends", "tokens")
+    return [_target(tokens[i % len(tokens)], "--host-backends",
+                    split=False) for i in range(hosts)]
+
+
+def _closed_loop(name: str, target) -> tuple[float, int]:
+    """Closed-loop capacity of one target: throughput of a 64-image
+    synthetic campaign at its preferred batch, and that batch.  Every
+    sweep brackets its bisection with it, and the autoscale commands
+    size the day and the predictive policy with it."""
+    from repro.ncsw import NCSw, SyntheticSource
+
+    fw = NCSw()
+    fw.add_source("synthetic", SyntheticSource(64))
+    fw.add_target(name, target)
+    batch = max(1, target.preferred_batch_size)
+    return fw.run("synthetic", name, batch_size=batch).throughput(), batch
+
+
+def _run_kwargs(args: argparse.Namespace) -> dict:
+    """The run-spec flags (see :func:`_run_spec`) as the keyword
+    arguments every server and the flow coordinator take."""
+    return {"queue_depth": args.queue_depth,
+            "admission": args.admission,
+            "max_wait_s": args.max_wait / 1000.0,
+            "slo_seconds": args.slo / 1000.0,
+            "deadline_seconds": (args.deadline / 1000.0
+                                 if args.deadline is not None else None),
+            "warmup": args.warmup}
 
 
 def _cmd_split_sweep(args: argparse.Namespace) -> int:
@@ -480,10 +525,11 @@ def _cmd_split_sweep(args: argparse.Namespace) -> int:
         single_device_points,
     )
 
-    parsed = _parse_split_token(args.devices)
-    if parsed is None:
+    try:
+        front, back, sticks = _parse_split_token(args.devices)
+    except _Usage as exc:
+        print(exc)
         return 1
-    front, back, sticks = parsed
     if args.smoke:
         from repro.nn.zoo import get_model
         from repro.vpu.compiler.compile import compile_graph
@@ -529,25 +575,16 @@ def _serve_workload(args: argparse.Namespace):
                                period_s=args.period, seed=args.seed)
     # replay
     if args.replay is None:
-        print("--workload replay needs --replay PATH")
-        return None
+        raise _Usage("--workload replay needs --replay PATH")
     return TraceWorkload.from_file(args.replay)
 
 
 def _serve_server(args: argparse.Namespace, targets, obs=None):
     from repro.serve import InferenceServer
 
-    server = InferenceServer(
-        queue_depth=args.queue_depth,
-        admission=args.admission,
-        max_batch_size=args.max_batch,
-        max_wait_s=args.max_wait / 1000.0,
-        policy=args.route,
-        slo_seconds=args.slo / 1000.0,
-        deadline_seconds=(args.deadline / 1000.0
-                          if args.deadline is not None else None),
-        warmup=args.warmup,
-        obs=obs)
+    server = InferenceServer(max_batch_size=args.max_batch,
+                             policy=args.route, obs=obs,
+                             **_run_kwargs(args))
     for name, target in targets.items():
         server.add_target(name, target)
     return server
@@ -564,52 +601,37 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
     from repro.serve import render_slo_report
 
     workload = _serve_workload(args)
-    if workload is None:
-        return 2
-    if not 0.0 <= args.kill_at <= 1.0:
-        print(f"--kill-at must be in [0, 1], got {args.kill_at}")
-        return 2
+    _check_kill_at(args)
 
-    fault_plan = None
-    call_timeout = None
+    faults = {}
     if args.kill_stick is not None:
-        from repro.ncsw import FaultPlan
+        from repro.ncsw import FaultPlan, IntelVPU
 
         targets = _serve_targets(args.backends)
-        if targets is None:
-            return 2
+        _check_kill_stick(args.kill_stick,
+                          [t.num_devices for t in targets.values()
+                           if isinstance(t, IntelVPU)])
         base = _serve_server(args, targets).run(workload,
                                                args.requests)
         kill_time = (base.prepare_seconds
                      + args.kill_at * base.wall_seconds)
-        fault_plan = FaultPlan.kill(args.kill_stick, kill_time,
-                                    kind=args.kind)
-        call_timeout = args.timeout
+        faults = {"fault_plan": FaultPlan.kill(args.kill_stick,
+                                               kill_time,
+                                               kind=args.kind),
+                  "call_timeout": args.timeout}
         print(f"baseline: {base.summary()}")
         print(f"chaos: kill stick {args.kill_stick} ({args.kind}) at "
               f"{kill_time * 1000:.2f} ms "
               f"(serving start + {args.kill_at:.0%} of wall)")
         print()
 
-    targets = _serve_targets(args.backends, fault_plan=fault_plan,
-                             call_timeout=call_timeout)
-    if targets is None:
-        return 2
+    targets = _serve_targets(args.backends, **faults)
     obs = _obs_from_args(args)
     result = _serve_server(args, targets, obs=obs).run(workload,
                                                        args.requests)
-    alerts = policy = None
-    if obs is not None:
-        from repro.obs import default_policy, serve_alerts
-
-        alerts = serve_alerts(result, session=obs)
-        policy = default_policy(result.wall_seconds)
     print(render_slo_report(result, workload=workload.describe(),
-                            alerts=alerts, policy=policy))
-    if obs is not None:
-        print()
-    _serve_trace_extras(obs)
-    _finish_trace(args, obs)
+                            **_alerts(obs, result)))
+    _finish_serving(args, obs)
     return 0 if result.completed > 0 else 1
 
 
@@ -620,23 +642,11 @@ def _sweep_point(args: argparse.Namespace, token: str):
     sustainable arrival rate.  Every probe builds a fresh server and
     reseeds the workload, so configurations are independent of each
     other and the sweep fans across processes without changing any
-    probe's outcome.  Returns ``(capacity, SweepResult)`` or ``None``
-    for an invalid token.
+    probe's outcome.  Returns ``(capacity, SweepResult)``.
     """
-    from repro.ncsw import NCSw, SyntheticSource
     from repro.serve import PoissonWorkload, find_max_rate
 
-    targets = _serve_targets(token)
-    if targets is None:
-        return None
-    # Closed-loop capacity estimate: a short batch campaign.
-    target = next(iter(targets.values()))
-    fw = NCSw()
-    fw.add_source("synthetic", SyntheticSource(64))
-    fw.add_target(token, target)
-    batch = max(1, target.preferred_batch_size)
-    capacity = fw.run("synthetic", token,
-                      batch_size=batch).throughput()
+    capacity, _ = _closed_loop(token, _serve_targets(token)[token])
 
     def run_at(rate: float, token=token):
         srv = _serve_server(args, _serve_targets(token))
@@ -649,6 +659,17 @@ def _sweep_point(args: argparse.Namespace, token: str):
     return capacity, sweep
 
 
+def _print_sweeps(outcomes) -> None:
+    """Each sweep's verdict with its capacity, then the sweep table."""
+    from repro.serve import render_sweep_table
+
+    for capacity, sweep in outcomes:
+        print(f"{sweep.summary()} "
+              f"(closed-loop capacity {capacity:.1f} img/s)")
+    print()
+    print(render_sweep_table([sweep for _, sweep in outcomes]))
+
+
 def _cmd_serve_sweep(args: argparse.Namespace) -> int:
     """Bisect the max sustainable arrival rate per configuration.
 
@@ -659,26 +680,11 @@ def _cmd_serve_sweep(args: argparse.Namespace) -> int:
     the configurations across processes; output is collected and
     printed in configuration order either way.
     """
-    from functools import partial
-
     from repro.harness.experiment import parallel_map
-    from repro.serve import render_sweep_table
 
-    tokens = [t.strip() for t in args.configs.split(",") if t.strip()]
-    if not tokens:
-        print("--configs: no configurations given")
-        return 2
-    outcomes = parallel_map(partial(_sweep_point, args), tokens,
-                            jobs=args.jobs)
-    if any(o is None for o in outcomes):
-        return 2
-    results = []
-    for capacity, sweep in outcomes:
-        print(f"{sweep.summary()} "
-              f"(closed-loop capacity {capacity:.1f} img/s)")
-        results.append(sweep)
-    print()
-    print(render_sweep_table(results))
+    tokens = _tokens(args.configs, "--configs", "configurations")
+    _print_sweeps(parallel_map(partial(_sweep_point, args), tokens,
+                               jobs=args.jobs))
     return 0
 
 
@@ -686,17 +692,8 @@ def _flow_coordinator(args: argparse.Namespace, wf, obs=None):
     """A FlowCoordinator wired from the workflow-* CLI flags."""
     from repro.flow import FlowCoordinator
 
-    return FlowCoordinator(
-        wf,
-        seed=args.seed,
-        queue_depth=args.queue_depth,
-        admission=args.admission,
-        max_wait_s=args.max_wait / 1000.0,
-        slo_seconds=args.slo / 1000.0,
-        deadline_seconds=(args.deadline / 1000.0
-                          if args.deadline is not None else None),
-        warmup=args.warmup,
-        obs=obs)
+    return FlowCoordinator(wf, seed=args.seed, obs=obs,
+                           **_run_kwargs(args))
 
 
 def _cmd_workflow_run(args: argparse.Namespace) -> int:
@@ -722,8 +719,7 @@ def _cmd_workflow_run(args: argparse.Namespace) -> int:
     try:
         wf = build_workflow(args.workflow, args.scale, **kwargs)
     except FlowError as exc:
-        print(f"workflow-run: {exc}")
-        return 2
+        raise _Usage(f"workflow-run: {exc}") from exc
     print(wf.describe())
     print()
 
@@ -733,10 +729,7 @@ def _cmd_workflow_run(args: argparse.Namespace) -> int:
         workload, args.requests)
     print(render_workflow_report(result,
                                  workload=workload.describe()))
-    if obs is not None:
-        print()
-    _serve_trace_extras(obs)
-    _finish_trace(args, obs)
+    _finish_serving(args, obs)
     return 0 if result.completed > 0 else 1
 
 
@@ -759,13 +752,10 @@ def _cmd_workflow_sweep(args: argparse.Namespace) -> int:
     if args.rates is None:
         args.rates = "20,40,80"
     try:
-        rates = [float(t) for t in args.rates.split(",") if t.strip()]
+        rates = [float(t)
+                 for t in _tokens(args.rates, "--rates", "rates")]
     except ValueError:
-        print(f"--rates: bad rate list {args.rates!r}")
-        return 2
-    if not rates:
-        print("--rates: no rates given")
-        return 2
+        raise _Usage(f"--rates: bad rate list {args.rates!r}") from None
 
     print(f"== cascade vs monolithic (scale {args.scale}, "
           f"{args.requests} workflows per point, SLO "
@@ -799,69 +789,19 @@ def _cmd_workflow_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cluster_targets(hosts: int, spec: str):
-    """One fresh target per host from a spec like ``vpu2`` or
-    ``vpu4,cpu``.
-
-    Tokens cycle across the hosts, so ``--hosts 4 --host-backends
-    vpu2,cpu`` alternates VPU and CPU hosts.  Every host gets its own
-    target instance — cluster hosts share nothing but the simulated
-    interconnect.
-    """
-    from repro.harness.experiment import (
-        paper_timing_graph,
-        paper_timing_network,
-    )
-    from repro.ncsw import IntelCPU, IntelVPU, NvGPU
-
-    if hosts < 1:
-        print(f"--hosts: need at least 1 host, got {hosts}")
-        return None
-    tokens = [t.strip() for t in spec.split(",") if t.strip()]
-    if not tokens:
-        print("--host-backends: no tokens given")
-        return None
-    targets = []
-    for i in range(hosts):
-        token = tokens[i % len(tokens)]
-        if token == "cpu":
-            targets.append(IntelCPU(paper_timing_network(),
-                                    functional=False))
-        elif token == "gpu":
-            targets.append(NvGPU(paper_timing_network(),
-                                 functional=False))
-        elif token.startswith("vpu") and token[3:].isdigit():
-            targets.append(IntelVPU(
-                graph=paper_timing_graph(),
-                num_devices=int(token[3:]), functional=False))
-        else:
-            print(f"--host-backends: unknown token {token!r} "
-                  "(expected cpu, gpu or vpuN)")
-            return None
-    return targets
-
-
 def _cluster_server(args: argparse.Namespace, targets, *,
-                    host_faults=None, autoscaler=None,
-                    initial_hosts=None, obs=None):
+                    host_faults=None, autoscaler=None, obs=None):
     from repro.cluster import ClusterServer
 
     return ClusterServer(
         targets,
         window=args.window,
         spill_threshold=args.spill_threshold,
-        queue_depth=args.queue_depth,
-        admission=args.admission,
         max_batch_size=args.max_batch,
-        max_wait_s=args.max_wait / 1000.0,
-        slo_seconds=args.slo / 1000.0,
-        deadline_seconds=(args.deadline / 1000.0
-                          if args.deadline is not None else None),
-        warmup=args.warmup,
         host_faults=host_faults,
         autoscaler=autoscaler,
-        initial_hosts=initial_hosts,
-        obs=obs)
+        obs=obs,
+        **_run_kwargs(args))
 
 
 def _cmd_cluster_run(args: argparse.Namespace) -> int:
@@ -877,14 +817,11 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
     from repro.cluster import render_cluster_report
     from repro.serve import PoissonWorkload
 
-    if not 0.0 <= args.kill_at <= 1.0:
-        print(f"--kill-at must be in [0, 1], got {args.kill_at}")
-        return 2
+    _check_kill_at(args)
     if (args.kill_host is not None
             and not 0 <= args.kill_host < args.hosts):
-        print(f"--kill-host must be in [0, {args.hosts - 1}], "
-              f"got {args.kill_host}")
-        return 2
+        raise _Usage(f"--kill-host must be in [0, {args.hosts - 1}], "
+                     f"got {args.kill_host}")
     workload = PoissonWorkload(rate=args.rate, seed=args.seed)
 
     host_faults = None
@@ -892,8 +829,6 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
         from repro.ncsw import FaultPlan
 
         targets = _cluster_targets(args.hosts, args.host_backends)
-        if targets is None:
-            return 2
         base = _cluster_server(args, targets).run(workload,
                                                   args.requests)
         kill_time = (base.prepare_seconds
@@ -906,24 +841,13 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
         print()
 
     targets = _cluster_targets(args.hosts, args.host_backends)
-    if targets is None:
-        return 2
     obs = _obs_from_args(args)
     result = _cluster_server(args, targets, host_faults=host_faults,
                              obs=obs).run(workload, args.requests)
-    alerts = policy = None
-    if obs is not None:
-        from repro.obs import default_policy, serve_alerts
-
-        alerts = serve_alerts(result, session=obs)
-        policy = default_policy(result.wall_seconds)
     print(render_cluster_report(result,
                                 workload=workload.describe(),
-                                alerts=alerts, policy=policy))
-    if obs is not None:
-        print()
-    _serve_trace_extras(obs)
-    _finish_trace(args, obs)
+                                **_alerts(obs, result)))
+    _finish_serving(args, obs)
     return 0 if result.completed > 0 else 1
 
 
@@ -935,29 +859,18 @@ def _cluster_sweep_point(args: argparse.Namespace, hosts: int):
     builds a fresh cluster and reseeds the workload, mirroring
     ``serve-sweep``'s independence contract, so host counts fan
     across processes without changing any probe's outcome.  Returns
-    ``(capacity, SweepResult)`` or ``None`` for an invalid spec.
+    ``(capacity, SweepResult)``.
     """
-    from repro.ncsw import NCSw, SyntheticSource
     from repro.serve import PoissonWorkload, find_max_rate
 
-    tokens = [t.strip() for t in args.host_backends.split(",")
-              if t.strip()]
-    capacity = 0.0
+    tokens = _tokens(args.host_backends, "--host-backends", "tokens")
     per_token: dict[str, float] = {}
-    for i in range(hosts):
-        token = tokens[i % len(tokens)] if tokens else ""
+    for token in tokens[:hosts]:
         if token not in per_token:
-            single = _cluster_targets(1, token)
-            if single is None:
-                return None
-            target = single[0]
-            fw = NCSw()
-            fw.add_source("synthetic", SyntheticSource(64))
-            fw.add_target(token, target)
-            batch = max(1, target.preferred_batch_size)
-            per_token[token] = fw.run(
-                "synthetic", token, batch_size=batch).throughput()
-        capacity += per_token[token]
+            per_token[token], _ = _closed_loop(
+                token, _cluster_targets(1, token)[0])
+    capacity = sum(per_token[tokens[i % len(tokens)]]
+                   for i in range(hosts))
 
     def run_at(rate: float, hosts=hosts):
         targets = _cluster_targets(hosts, args.host_backends)
@@ -980,10 +893,7 @@ def _cmd_cluster_sweep(args: argparse.Namespace) -> int:
     hosts-scaling curve (how close does N hosts get to N times one
     host's rate).  ``--smoke`` shrinks everything to CI size.
     """
-    from functools import partial
-
     from repro.harness.experiment import parallel_map
-    from repro.serve import render_sweep_table
 
     if args.smoke:
         args.requests = min(args.requests, 96)
@@ -995,81 +905,37 @@ def _cmd_cluster_sweep(args: argparse.Namespace) -> int:
     try:
         counts = [int(t) for t in args.hosts.split(",") if t.strip()]
     except ValueError:
-        print(f"--hosts: expected a comma list of host counts, "
-              f"got {args.hosts!r}")
-        return 2
+        raise _Usage(f"--hosts: expected a comma list of host counts, "
+                     f"got {args.hosts!r}") from None
     if not counts or any(n < 1 for n in counts):
-        print(f"--hosts: host counts must be >= 1, got {args.hosts!r}")
-        return 2
-    outcomes = parallel_map(partial(_cluster_sweep_point, args),
-                            counts, jobs=args.jobs)
-    if any(o is None for o in outcomes):
-        return 2
-    results = []
-    for capacity, sweep in outcomes:
-        print(f"{sweep.summary()} "
-              f"(closed-loop capacity {capacity:.1f} img/s)")
-        results.append(sweep)
-    print()
-    print(render_sweep_table(results))
+        raise _Usage(f"--hosts: host counts must be >= 1, "
+                     f"got {args.hosts!r}")
+    _print_sweeps(parallel_map(partial(_cluster_sweep_point, args),
+                               counts, jobs=args.jobs))
     return 0
 
 
-def _host_closed_loop_rate(args: argparse.Namespace):
-    """Closed-loop throughput of one host built from the first
-    ``--host-backends`` token — the capacity unit the autoscale
-    commands size the diurnal day and the predictive policy with."""
-    from repro.ncsw import NCSw, SyntheticSource
-
-    tokens = [t.strip() for t in args.host_backends.split(",")
-              if t.strip()]
-    if not tokens:
-        print("--host-backends: no tokens given")
-        return None
-    single = _cluster_targets(1, tokens[0])
-    if single is None:
-        return None
-    target = single[0]
-    fw = NCSw()
-    fw.add_source("synthetic", SyntheticSource(64))
-    fw.add_target(tokens[0], target)
-    batch = max(1, target.preferred_batch_size)
-    rate = fw.run("synthetic", tokens[0],
-                  batch_size=batch).throughput()
-    return rate, batch
-
-
 def _autoscale_setup(args: argparse.Namespace):
-    """Shared autoscale-run/-sweep setup: the diurnal day trace plus
-    the per-host capacity estimate.  Returns ``(workload, host_rate,
-    floor_s)`` — the last is the per-request service-latency floor
+    """Shared autoscale-run/-sweep setup: the ``--smoke`` shrink, the
+    diurnal day trace and the per-host capacity of the first
+    ``--host-backends`` token.  Returns ``(workload, host_rate,
+    floor_s)``; the last is the per-request service-latency floor
     (one calibration batch) the fluid model attributes to every
-    completion — or None for an invalid spec."""
+    completion."""
     from repro.serve import DiurnalWorkload
 
-    calibrated = _host_closed_loop_rate(args)
-    if calibrated is None:
-        return None
-    host_rate, batch = calibrated
+    if args.smoke:
+        args.requests = min(args.requests, 120)
+        args.pool = min(args.pool, 3)
+    if args.pool < 1:
+        raise _Usage(f"--pool: need at least 1 slot, got {args.pool}")
+    token = _tokens(args.host_backends, "--host-backends", "tokens")[0]
+    host_rate, batch = _closed_loop(token, _cluster_targets(1, token)[0])
     peak = (args.peak_rate if args.peak_rate is not None
             else 2.5 * host_rate)
     workload = DiurnalWorkload(peak_rate=peak, period_s=args.period,
                                floor_frac=args.floor, seed=args.seed)
     return workload, host_rate, batch / host_rate
-
-
-def _fluid_cluster(args: argparse.Namespace, workload,
-                   host_rate: float, floor_s: float, *,
-                   pool: int, autoscaler=None):
-    """Build the hybrid fluid model mirroring the DES campaign args."""
-    from repro.sim.fluid import FluidCluster
-
-    return FluidCluster(
-        workload, host_rate=host_rate, pool=pool,
-        autoscaler=autoscaler,
-        slo_seconds=args.slo / 1000.0,
-        service_floor_s=floor_s,
-        seed=args.seed)
 
 
 def _autoscaler_from_args(args: argparse.Namespace, workload,
@@ -1097,6 +963,23 @@ def _autoscaler_from_args(args: argparse.Namespace, workload,
                       warm_pool=args.warm_pool)
 
 
+def _elastic_run(args: argparse.Namespace, workload, host_rate: float,
+                 floor_s: float, *, pool: int, autoscaler=None,
+                 fluid: bool = False):
+    """One day over ``pool`` host slots: the hybrid fluid model, or
+    the per-request DES cluster."""
+    if fluid:
+        from repro.sim.fluid import FluidCluster
+
+        return FluidCluster(
+            workload, host_rate=host_rate, pool=pool,
+            autoscaler=autoscaler, slo_seconds=args.slo / 1000.0,
+            service_floor_s=floor_s, seed=args.seed).run(args.requests)
+    targets = _cluster_targets(pool, args.host_backends)
+    return _cluster_server(args, targets, autoscaler=autoscaler).run(
+        workload, args.requests)
+
+
 def _cmd_autoscale_run(args: argparse.Namespace) -> int:
     """One elastic cluster run over a diurnal day trace.
 
@@ -1107,43 +990,27 @@ def _cmd_autoscale_run(args: argparse.Namespace) -> int:
     """
     from repro.cluster import render_cluster_report
 
-    if args.smoke:
-        args.requests = min(args.requests, 120)
-        args.pool = min(args.pool, 3)
-    if args.pool < 1:
-        print(f"--pool: need at least 1 slot, got {args.pool}")
-        return 2
-    setup = _autoscale_setup(args)
-    if setup is None:
-        return 2
-    workload, host_rate, floor_s = setup
-    if args.fluid or args.fluid_gate:
+    fluid = args.fluid or args.fluid_gate
+    if fluid and (args.trace is not None or args.metrics is not None):
+        raise _Usage("--trace/--metrics: the fluid model records no "
+                     "spans; drop --fluid/--fluid-gate to trace")
+    workload, host_rate, floor_s = _autoscale_setup(args)
+    if fluid:
         return _autoscale_run_fluid(args, workload, host_rate,
                                     floor_s)
     autoscaler = _autoscaler_from_args(args, workload, host_rate,
                                        args.policy)
     targets = _cluster_targets(args.pool, args.host_backends)
-    if targets is None:
-        return 2
     obs = _obs_from_args(args)
     result = _cluster_server(args, targets, autoscaler=autoscaler,
                              obs=obs).run(workload, args.requests)
-    alerts = policy = None
-    if obs is not None:
-        from repro.obs import default_policy, serve_alerts
-
-        alerts = serve_alerts(result, session=obs)
-        policy = default_policy(result.wall_seconds)
     print(f"policy: {autoscaler.policy.describe()} "
           f"(~{host_rate:.1f} req/s/host closed loop)")
     print()
     print(render_cluster_report(result,
                                 workload=workload.describe(),
-                                alerts=alerts, policy=policy))
-    if obs is not None:
-        print()
-    _serve_trace_extras(obs)
-    _finish_trace(args, obs)
+                                **_alerts(obs, result)))
+    _finish_serving(args, obs)
     lost = result.offered - result.completed
     if lost:
         print()
@@ -1161,25 +1028,19 @@ def _autoscale_run_fluid(args: argparse.Namespace, workload,
     """
     from repro.sim.fluid import equivalence_gate
 
+    run = partial(_elastic_run, args, workload, host_rate, floor_s,
+                  pool=args.pool)
     autoscaler = _autoscaler_from_args(args, workload, host_rate,
                                        args.policy)
-    fluid = _fluid_cluster(args, workload, host_rate, floor_s,
-                           pool=args.pool,
-                           autoscaler=autoscaler).run(args.requests)
+    fluid = run(autoscaler=autoscaler, fluid=True)
     print(f"policy: {autoscaler.policy.describe()} "
           f"(~{host_rate:.1f} req/s/host closed loop)")
     print(f"fluid: {fluid.summary()}")
     print(f"scale events: {len(fluid.scale_events)}")
     if not args.fluid_gate:
         return 0
-    targets = _cluster_targets(args.pool, args.host_backends)
-    if targets is None:
-        return 2
-    des_autoscaler = _autoscaler_from_args(args, workload, host_rate,
-                                           args.policy)
-    result = _cluster_server(
-        args, targets,
-        autoscaler=des_autoscaler).run(workload, args.requests)
+    result = run(autoscaler=_autoscaler_from_args(
+        args, workload, host_rate, args.policy))
     print(f"des:   {result.summary()}")
     print()
     report = equivalence_gate(fluid, result)
@@ -1197,47 +1058,19 @@ def _cmd_autoscale_sweep(args: argparse.Namespace) -> int:
     """
     from repro.cluster import cost_point, render_cost_table
 
-    if args.smoke:
-        args.requests = min(args.requests, 120)
-        args.pool = min(args.pool, 3)
-    if args.pool < 1:
-        print(f"--pool: need at least 1 slot, got {args.pool}")
-        return 2
-    setup = _autoscale_setup(args)
-    if setup is None:
-        return 2
-    workload, host_rate, floor_s = setup
+    workload, host_rate, floor_s = _autoscale_setup(args)
     print(f"calibrated: ~{host_rate:.1f} req/s/host closed-loop "
           f"capacity, day peak {workload.peak_rate:.4g} req/s")
-    fluid = args.fluid
+    run = partial(_elastic_run, args, workload, host_rate, floor_s,
+                  fluid=args.fluid)
     points = []
     for n in range(1, args.pool + 1):
-        if fluid:
-            result = _fluid_cluster(args, workload, host_rate,
-                                    floor_s, pool=n).run(
-                                        args.requests)
-        else:
-            targets = _cluster_targets(n, args.host_backends)
-            if targets is None:
-                return 2
-            result = _cluster_server(args, targets).run(workload,
-                                                        args.requests)
+        result = run(pool=n)
         points.append(cost_point(f"fixed-{n}", result))
         print(f"fixed-{n}: {result.summary()}")
     for kind in ("reactive", "predictive"):
-        autoscaler = _autoscaler_from_args(args, workload, host_rate,
-                                           kind)
-        if fluid:
-            result = _fluid_cluster(
-                args, workload, host_rate, floor_s, pool=args.pool,
-                autoscaler=autoscaler).run(args.requests)
-        else:
-            targets = _cluster_targets(args.pool, args.host_backends)
-            if targets is None:
-                return 2
-            result = _cluster_server(
-                args, targets,
-                autoscaler=autoscaler).run(workload, args.requests)
+        result = run(pool=args.pool, autoscaler=_autoscaler_from_args(
+            args, workload, host_rate, kind))
         points.append(cost_point(kind, result))
         print(f"{kind}: {result.summary()}")
     print()
@@ -1270,8 +1103,7 @@ def _cmd_trace_analyze(args: argparse.Namespace) -> int:
     try:
         session = load_metrics_jsonl(args.path)
     except (OSError, ObservabilityError) as exc:
-        print(f"trace-analyze: {exc}")
-        return 2
+        raise _Usage(f"trace-analyze: {exc}") from exc
     extent = session.tracer.extent
     traces = session.reqtrace.traces()
     print(f"trace analysis of {args.path}")
@@ -1305,499 +1137,411 @@ def _cmd_trace_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+# -- flag groups: every flag is declared once, in exactly one group --
+#
+# A group adds its flags to each subparser afresh instead of being an
+# argparse ``parents=`` parser: children share a parent's Action
+# objects, so one command's ``set_defaults`` would re-default all its
+# siblings.
+
+def _images(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--images", type=int, default=160,
+                   help="images per run (default 160)")
+
+
+def _batch(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--batch", type=int, default=8,
+                   help="images per batch (default 8)")
+
+
+def _trace(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--trace", default=None, metavar="PATH",
+                   help="record a Perfetto trace_event JSON here and "
+                        "print the utilisation report")
+
+
+def _obs(p: argparse.ArgumentParser) -> None:
+    _trace(p)
+    p.add_argument("--metrics", default=None, metavar="PATH",
+                   help="dump the metric/trace events as JSONL for "
+                        "offline trace-analyze")
+
+
+def _jobs(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--jobs", type=int, default=1, metavar="N",
+                   help="fan independent runs across N processes "
+                        "(results identical to --jobs 1; tracing and "
+                        "jitter keep the run serial)")
+
+
+def _smoke(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--smoke", action="store_true",
+                   help="shrink the run to CI size")
+
+
+def _seed(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=0,
+                   help="workload (or random fault plan) seed; same "
+                        "seed -> byte-identical run")
+
+
+def _slo(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--slo", type=float, default=500.0, metavar="MS",
+                   help="p99 end-to-end latency objective in ms "
+                        "(default %(default)s; one paper-scale "
+                        "inference is ~100 ms)")
+
+
+def _sticks(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--devices", type=int, default=8,
+                   help="NCS sticks of the VPU rig, or behind each VPU "
+                        "stage (1-8; default %(default)s)")
+
+
+def _rate(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--rate", type=float, default=50.0,
+                   help="arrival rate per second: the Poisson rate, "
+                        "the bursty base rate or the diurnal peak "
+                        "(default %(default)s)")
+
+
+def _period(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--period", type=float, default=10.0, metavar="S",
+                   help="diurnal period, one traffic day, in seconds "
+                        "(default %(default)s)")
+
+
+def _steps(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--steps", type=int, default=8,
+                   help="bisection steps per configuration (default 8)")
+
+
+def _kill_at(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kill-at", type=float, default=0.5, metavar="FRAC",
+                   help="fault time as a fraction of the healthy "
+                        "baseline's (serving) wall time (default 0.5)")
+
+
+def _chaos(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kill-stick", type=int, default=None, metavar="K",
+                   help="fail VPU stick K mid-run after a healthy "
+                        "baseline (chaos-run default: each in turn)")
+    _kill_at(p)
+    p.add_argument("--kind", default="death",
+                   choices=["death", "hang", "thermal", "busy"])
+    p.add_argument("--timeout", type=float, default=0.5,
+                   help="per-call NCAPI deadline in seconds (default "
+                        "%(default)s; None: 4x the baseline's max "
+                        "latency)")
+
+
+def _campaign(p: argparse.ArgumentParser) -> None:
+    """The paper artefacts: figures, headline, report and audit."""
+    _images(p)
+    p.add_argument("--scale", default="default",
+                   help="functional scale: smoke|default|paper "
+                        "(none skips the top-1 error experiments)")
+    p.add_argument("--json-dir", default=None,
+                   help="also save each figure as JSON here")
+    _trace(p)
+    _jobs(p)
+
+
+def _run_spec(p: argparse.ArgumentParser) -> None:
+    """What every open-loop serving run shares (see _run_kwargs)."""
+    p.add_argument("--requests", type=int, default=200,
+                   help="requests (workflows) per run "
+                        "(default %(default)s)")
+    _seed(p)
+    _slo(p)
+    p.add_argument("--deadline", type=float, default=None, metavar="MS",
+                   help="per-request queue deadline in ms, shared by "
+                        "every stage a workflow touches (default: none)")
+    p.add_argument("--queue-depth", type=int, default=64,
+                   help="admission queue bound, per host or stage "
+                        "(default 64)")
+    p.add_argument("--admission", default=REJECT_NEWEST, choices=POLICIES,
+                   help="overload policy at each admission queue")
+    p.add_argument("--max-wait", type=float, default=2.0, metavar="MS",
+                   help="dynamic batcher window in ms (default 2)")
+    p.add_argument("--warmup", type=int, default=0,
+                   help="leading completions excluded from latency stats")
+
+
+def _server(p: argparse.ArgumentParser) -> None:
+    _run_spec(p)
+    p.add_argument("--max-batch", type=int, default=None,
+                   help="batch size cap (default: backend preference)")
+
+
+def _serve(p: argparse.ArgumentParser) -> None:
+    _server(p)
+    p.add_argument("--route", default="round-robin",
+                   choices=["round-robin", "least-outstanding",
+                            "latency-ewma"],
+                   help="backend routing policy")
+
+
+def _cluster(p: argparse.ArgumentParser) -> None:
+    _server(p)
+    p.add_argument("--host-backends", default="vpu2", metavar="SPEC",
+                   help="comma list of per-host targets, cycled across "
+                        "hosts (cpu / gpu / vpuN tokens; default vpu2)")
+    p.add_argument("--window", type=int, default=8,
+                   help="per-shard stream window (default 8)")
+    p.add_argument("--spill-threshold", type=int, default=None,
+                   metavar="N",
+                   help="outstanding requests before a shard spills to "
+                        "the least-loaded host (default: window + queue "
+                        "depth)")
+
+
+def _autoscale(p: argparse.ArgumentParser) -> None:
+    _cluster(p)
+    p.add_argument("--pool", type=int, default=4, metavar="N",
+                   help="host slots the frontend may scale across "
+                        "(default 4)")
+    p.add_argument("--peak-rate", type=float, default=None, metavar="RPS",
+                   help="diurnal peak arrival rate (default: 2.5x one "
+                        "host's closed-loop throughput)")
+    _period(p)
+    p.add_argument("--floor", type=float, default=0.1, metavar="FRAC",
+                   help="overnight trough as a fraction of peak "
+                        "(default 0.1)")
+    p.add_argument("--min-hosts", type=int, default=1,
+                   help="autoscaler floor (default 1)")
+    p.add_argument("--max-hosts", type=int, default=None,
+                   help="autoscaler ceiling (default: the pool size)")
+    p.add_argument("--interval", type=float, default=20.0, metavar="MS",
+                   help="autoscaler tick interval in ms (default 20)")
+    p.add_argument("--cooldown", type=float, default=50.0, metavar="MS",
+                   help="minimum gap between scale actions in ms "
+                        "(default 50)")
+    p.add_argument("--warm-pool", type=int, default=1, metavar="N",
+                   help="idle slots kept pre-initialised (default 1)")
+    p.add_argument("--high-water", type=float, default=4.0, metavar="N",
+                   help="reactive: per-host outstanding before "
+                        "scale-out (default 4)")
+    p.add_argument("--low-water", type=float, default=1.0, metavar="N",
+                   help="reactive: per-host outstanding after removal "
+                        "that permits scale-in (default 1)")
+    p.add_argument("--lead", type=float, default=100.0, metavar="MS",
+                   help="predictive: pre-warm lead time in ms "
+                        "(default 100)")
+    p.add_argument("--utilization", type=float, default=0.7,
+                   metavar="FRAC",
+                   help="predictive: target per-host utilisation "
+                        "(default 0.7)")
+    _smoke(p)
+    p.add_argument("--fluid", action="store_true",
+                   help="hybrid fluid/DES model instead of per-request "
+                        "DES (million-user days in milliseconds; see "
+                        "DESIGN.md section 16 for the validity envelope)")
+
+
+def _flow(p: argparse.ArgumentParser) -> None:
+    _run_spec(p)
+    p.add_argument("--scale", default="micro", choices=["micro", "mini"],
+                   help="workflow model scale (default micro)")
+    _sticks(p)
+    _smoke(p)
+
+
+def _report_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--markdown", default=None,
+                   help="write the full report as markdown here")
+
+
+def _profile_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--model", default="googlenet-mini")
+    p.add_argument("--shaves", type=int, default=12)
+    p.add_argument("--top", type=int, default=None)
+
+
+def _profile_run_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--target", default="vpu8",
+                   choices=["cpu", "gpu", "vpu1", "vpu2", "vpu4", "vpu8"])
+
+
+def _chaos_run_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--random-plans", type=int, default=0, metavar="N",
+                   help="run N seeded random schedules instead of the "
+                        "per-stick sweep")
+
+
+def _serve_run_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--backends", default="vpu8",
+                   help="comma list of cpu / gpu / vpuN / front+back "
+                        "targets (default vpu8)")
+    p.add_argument("--workload", default="poisson",
+                   choices=["poisson", "bursty", "diurnal", "replay"])
+    p.add_argument("--burst-rate", type=float, default=None,
+                   help="bursty peak rate (default: 4x --rate)")
+    p.add_argument("--replay", default=None, metavar="PATH",
+                   help="arrival-offsets file for --workload replay")
+
+
+def _serve_sweep_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--configs", default="vpu1,vpu2,vpu4,vpu8",
+                   help="comma list of configurations to sweep "
+                        "(default vpu1,vpu2,vpu4,vpu8)")
+
+
+def _split_sweep_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--devices", default="vpu1+cpu",
+                   help="placement pair <front>+<back> with exactly one "
+                        "vpu side (default vpu1+cpu)")
+    p.add_argument("--objective", default="latency",
+                   choices=["latency", "throughput", "energy"],
+                   help="objective of the best-cut line (default latency)")
+
+
+def _cluster_run_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--hosts", type=int, default=4,
+                   help="number of serving hosts / ranks (default 4)")
+    p.add_argument("--kill-host", type=int, default=None, metavar="K",
+                   help="kill whole host K mid-run (runs a baseline "
+                        "first)")
+
+
+def _cluster_sweep_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--hosts", default=None, metavar="LIST",
+                   help="comma list of host counts to sweep "
+                        "(default 1,2,4,8; 1,2 with --smoke)")
+
+
+def _autoscale_run_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--policy", default="reactive",
+                   choices=["reactive", "predictive"],
+                   help="scale policy (default reactive)")
+    p.add_argument("--fluid-gate", action="store_true",
+                   help="run BOTH the fluid model and the pure-DES "
+                        "cluster, print the equivalence gate, exit "
+                        "non-zero on disagreement")
+
+
+def _workflow_run_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--workflow", default="cascade",
+                   choices=["cascade", "ensemble", "escalate",
+                            "monolithic"],
+                   help="built-in workflow to run (default cascade)")
+    p.add_argument("--stage-slo", type=float, default=None, metavar="MS",
+                   help="per-stage SLO in ms for the cascade's model "
+                        "stages (default: none)")
+
+
+def _workflow_sweep_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--rates", default=None, metavar="LIST",
+                   help="comma list of offered rates in workflows/s "
+                        "(default 20,40,80; 20,40 with --smoke)")
+
+
+def _trace_analyze_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("path", metavar="PATH",
+                   help="metrics JSONL file from serve-run/cluster-run "
+                        "--metrics")
+    p.add_argument("--window", type=float, default=50.0, metavar="MS",
+                   help="timeline aggregation window in ms (default 50)")
+    p.add_argument("--waterfalls", type=int, default=1, metavar="N",
+                   help="completed request waterfalls to print "
+                        "(default 1)")
+
+
+class Command(NamedTuple):
+    """One subcommand of ``python -m repro``."""
+
+    description: str
+    flags: tuple[Callable[[argparse.ArgumentParser], None], ...]
+    run: Callable[[argparse.Namespace], int]
+    #: Defaults this command overrides in its flag groups.
+    defaults: dict = {}
+
+
+# Request counts per command family; tests/test_cli_surface.py pins
+# every default.
+_CLUSTER_DEFAULTS = {"requests": 300}
+_FLOW_DEFAULTS = {"requests": 80, "slo": 800.0, "devices": 4}
+
+COMMANDS: dict[str, Command] = {
+    "list": Command("list available experiments", (), _cmd_list),
+    **{name: Command(description, (_campaign,), _cmd_figure)
+       for name, (description, _) in _FIGURES.items()},
+    "headline": Command("the paper's §IV/§V headline numbers",
+                        (_campaign,), _cmd_headline),
+    "audit": Command("verify every quantitative claim in the paper",
+                     (_campaign,), _cmd_audit),
+    "report": Command("all of the above in one run",
+                      (_campaign, _report_flags), _cmd_report),
+    "profile": Command("per-layer VPU timing report for a zoo model",
+                       (_profile_flags,), _cmd_profile),
+    "profile-run": Command("one instrumented run + utilisation report",
+                           (_profile_run_flags, _images, _batch, _trace),
+                           _cmd_profile_run),
+    "chaos-run": Command("seeded fault-injection sweep (kill stick k)",
+                         (_sticks, _images, _batch, _chaos, _seed,
+                          _chaos_run_flags, _trace, _jobs),
+                         _cmd_chaos_run, {"timeout": None}),
+    "serve-run": Command("open-loop serving run with an SLO report",
+                         (_serve, _serve_run_flags, _rate, _period,
+                          _chaos, _obs),
+                         _cmd_serve_run),
+    "serve-sweep": Command("max sustainable arrival rate per config",
+                           (_serve, _serve_sweep_flags, _steps, _jobs),
+                           _cmd_serve_sweep),
+    "split-sweep": Command("Pareto map of two-tier layer-cut placements",
+                           (_split_sweep_flags, _smoke), _cmd_split_sweep),
+    "cluster-run": Command("sharded multi-host serving run (MPI sim)",
+                           (_cluster, _cluster_run_flags, _rate,
+                            _kill_at, _obs),
+                           _cmd_cluster_run,
+                           {**_CLUSTER_DEFAULTS, "rate": 100.0}),
+    "cluster-sweep": Command("max sustainable rate per cluster size",
+                             (_cluster, _cluster_sweep_flags, _steps,
+                              _smoke, _jobs),
+                             _cmd_cluster_sweep, _CLUSTER_DEFAULTS),
+    "autoscale-run": Command("elastic cluster run under a diurnal day",
+                             (_autoscale, _autoscale_run_flags, _obs),
+                             _cmd_autoscale_run,
+                             {**_CLUSTER_DEFAULTS, "period": 2.0}),
+    "autoscale-sweep": Command(
+        "cost-vs-SLO frontier: autoscalers vs fixed-N", (_autoscale,),
+        _cmd_autoscale_sweep, {**_CLUSTER_DEFAULTS, "period": 2.0}),
+    "workflow-run": Command(
+        "multi-model workflow DAG run (cascade / ensemble / escalate)",
+        (_flow, _workflow_run_flags, _rate, _obs), _cmd_workflow_run,
+        {**_FLOW_DEFAULTS, "rate": 40.0}),
+    "workflow-sweep": Command(
+        "cascade vs monolithic classify at matched rates",
+        (_flow, _workflow_sweep_flags), _cmd_workflow_sweep,
+        _FLOW_DEFAULTS),
+    "trace-analyze": Command(
+        "offline timeline/waterfall/alert report from a --metrics dump",
+        (_trace_analyze_flags, _slo), _cmd_trace_analyze),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """Construct the argparse CLI parser."""
+    """Construct the argparse CLI parser from ``COMMANDS``."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate the paper's tables and figures.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("list", help="list available experiments")
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--images", type=int, default=160,
-                        help="timing images per measurement")
-    common.add_argument("--scale", default="default",
-                        help="functional scale: smoke|default|paper")
-    common.add_argument("--json-dir", default=None,
-                        help="also save each figure as JSON here")
-    common.add_argument("--trace", default=None, metavar="PATH",
-                        help="record a Perfetto trace_event JSON here "
-                             "and print the utilisation report")
-    common.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="fan independent runs across N processes "
-                             "(results identical to --jobs 1; tracing "
-                             "and jitter keep the run serial)")
-
-    for name, (desc, _) in _FIGURES.items():
-        sub.add_parser(name, help=desc, parents=[common])
-    sub.add_parser("headline", help="headline paper-vs-measured table",
-                   parents=[common])
-    report = sub.add_parser("report", help="regenerate everything",
-                            parents=[common])
-    sub.add_parser("audit", help="verify every quantitative claim",
-                   parents=[common])
-    report.add_argument("--markdown", default=None,
-                        help="write the full report as markdown here")
-
-    profile = sub.add_parser("profile",
-                             help="per-layer VPU timing report")
-    profile.add_argument("--model", default="googlenet-mini")
-    profile.add_argument("--shaves", type=int, default=12)
-    profile.add_argument("--top", type=int, default=None)
-
-    profile_run = sub.add_parser(
-        "profile-run",
-        help="one instrumented run + per-device utilisation report")
-    profile_run.add_argument(
-        "--target", default="vpu8",
-        choices=["cpu", "gpu", "vpu1", "vpu2", "vpu4", "vpu8"])
-    profile_run.add_argument("--images", type=int, default=160)
-    profile_run.add_argument("--batch", type=int, default=8)
-    profile_run.add_argument("--trace", default=None, metavar="PATH",
-                             help="also write the Perfetto trace here")
-
-    chaos = sub.add_parser(
-        "chaos-run",
-        help="seeded fault-injection sweep over the multi-VPU rig")
-    chaos.add_argument("--devices", type=int, default=8,
-                       help="NCS sticks to drive (1-8)")
-    chaos.add_argument("--images", type=int, default=160)
-    chaos.add_argument("--batch", type=int, default=8)
-    chaos.add_argument("--kill-stick", type=int, default=None,
-                       metavar="K",
-                       help="fail only stick K (default: sweep all)")
-    chaos.add_argument("--kill-at", type=float, default=0.5,
-                       metavar="FRAC",
-                       help="fault time as a fraction of the healthy "
-                            "run's wall time (default 0.5)")
-    chaos.add_argument("--kind", default="death",
-                       choices=["death", "hang", "thermal", "busy"])
-    chaos.add_argument("--seed", type=int, default=0,
-                       help="base seed for --random-plans schedules")
-    chaos.add_argument("--random-plans", type=int, default=0,
-                       metavar="N",
-                       help="run N seeded random schedules instead of "
-                            "the per-stick sweep")
-    chaos.add_argument("--timeout", type=float, default=None,
-                       help="per-call NCAPI deadline in seconds "
-                            "(default: 4x the healthy max latency)")
-    chaos.add_argument("--trace", default=None, metavar="PATH",
-                       help="record a Perfetto trace of the chaos "
-                            "runs here")
-    chaos.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="fan per-victim runs across N processes "
-                            "(results identical to --jobs 1)")
-
-    serve_common = argparse.ArgumentParser(add_help=False)
-    serve_common.add_argument(
-        "--requests", type=int, default=400,
-        help="requests per run (default 400)")
-    serve_common.add_argument(
-        "--seed", type=int, default=0,
-        help="workload seed (same seed -> byte-identical run)")
-    serve_common.add_argument(
-        "--slo", type=float, default=500.0, metavar="MS",
-        help="p99 end-to-end latency objective in ms (default 500; "
-             "one paper-scale inference is ~100 ms and a loaded "
-             "pipeline holds about two batches in flight)")
-    serve_common.add_argument(
-        "--deadline", type=float, default=None, metavar="MS",
-        help="per-request queue deadline in ms (default: none)")
-    serve_common.add_argument(
-        "--queue-depth", type=int, default=64,
-        help="admission queue bound (default 64)")
-    serve_common.add_argument(
-        "--admission", default=REJECT_NEWEST, choices=POLICIES,
-        help="overload policy at the admission queue")
-    serve_common.add_argument(
-        "--route", default="round-robin",
-        choices=["round-robin", "least-outstanding", "latency-ewma"],
-        help="backend routing policy")
-    serve_common.add_argument(
-        "--max-batch", type=int, default=None,
-        help="batch size cap (default: backend preference)")
-    serve_common.add_argument(
-        "--max-wait", type=float, default=2.0, metavar="MS",
-        help="dynamic batcher window in ms (default 2)")
-    serve_common.add_argument(
-        "--warmup", type=int, default=0,
-        help="leading completions excluded from latency stats")
-
-    serve_run = sub.add_parser(
-        "serve-run", parents=[serve_common],
-        help="one open-loop serving run with a full SLO report")
-    serve_run.add_argument(
-        "--backends", default="vpu8",
-        help="comma list of cpu / gpu / vpuN targets (default vpu8)")
-    serve_run.add_argument(
-        "--workload", default="poisson",
-        choices=["poisson", "bursty", "diurnal", "replay"])
-    serve_run.add_argument(
-        "--rate", type=float, default=50.0,
-        help="arrival rate in req/s: poisson rate, bursty base rate, "
-             "diurnal peak rate (default 50)")
-    serve_run.add_argument(
-        "--burst-rate", type=float, default=None,
-        help="bursty peak rate (default: 4x --rate)")
-    serve_run.add_argument(
-        "--period", type=float, default=10.0,
-        help="diurnal period in seconds (default 10)")
-    serve_run.add_argument(
-        "--replay", default=None, metavar="PATH",
-        help="arrival-offsets file for --workload replay")
-    serve_run.add_argument(
-        "--kill-stick", type=int, default=None, metavar="K",
-        help="fail VPU stick K mid-run (runs a baseline first)")
-    serve_run.add_argument(
-        "--kill-at", type=float, default=0.5, metavar="FRAC",
-        help="fault time as a fraction of the baseline's serving "
-             "wall time (default 0.5)")
-    serve_run.add_argument(
-        "--kind", default="death",
-        choices=["death", "hang", "thermal", "busy"])
-    serve_run.add_argument(
-        "--timeout", type=float, default=0.5,
-        help="per-call NCAPI deadline in s for chaos runs "
-             "(default 0.5)")
-    serve_run.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record a Perfetto trace + utilisation report "
-             "(includes per-request flow events and a waterfall)")
-    serve_run.add_argument(
-        "--metrics", default=None, metavar="PATH",
-        help="dump the metric/trace events as JSONL for offline "
-             "trace-analyze")
-
-    serve_sweep = sub.add_parser(
-        "serve-sweep", parents=[serve_common],
-        help="bisect the max sustainable arrival rate per config")
-    serve_sweep.add_argument(
-        "--configs", default="vpu1,vpu2,vpu4,vpu8",
-        help="comma list of configurations to sweep "
-             "(default vpu1,vpu2,vpu4,vpu8)")
-    serve_sweep.add_argument(
-        "--steps", type=int, default=8,
-        help="bisection steps per configuration (default 8)")
-    serve_sweep.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="fan configurations across N processes "
-             "(results identical to --jobs 1)")
-    serve_sweep.set_defaults(requests=200)
-
-    split_sweep = sub.add_parser(
-        "split-sweep",
-        help="map the latency/throughput/energy frontier of every "
-             "two-tier layer cut")
-    split_sweep.add_argument(
-        "--devices", default="vpu1+cpu",
-        help="placement pair <front>+<back> with exactly one vpu "
-             "side (default vpu1+cpu)")
-    split_sweep.add_argument(
-        "--objective", default="latency",
-        choices=["latency", "throughput", "energy"],
-        help="objective of the best-cut line (default latency)")
-    split_sweep.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized model (googlenet-micro) instead of the "
-             "paper network")
-
-    cluster_common = argparse.ArgumentParser(add_help=False)
-    cluster_common.add_argument(
-        "--host-backends", default="vpu2", metavar="SPEC",
-        help="comma list of per-host targets, cycled across hosts "
-             "(cpu / gpu / vpuN tokens; default vpu2)")
-    cluster_common.add_argument(
-        "--requests", type=int, default=400,
-        help="requests per run (default 400)")
-    cluster_common.add_argument(
-        "--seed", type=int, default=0,
-        help="workload seed (same seed -> byte-identical run)")
-    cluster_common.add_argument(
-        "--slo", type=float, default=500.0, metavar="MS",
-        help="p99 end-to-end latency objective in ms (default 500)")
-    cluster_common.add_argument(
-        "--deadline", type=float, default=None, metavar="MS",
-        help="per-request queue deadline in ms (default: none)")
-    cluster_common.add_argument(
-        "--queue-depth", type=int, default=64,
-        help="per-host admission queue bound (default 64)")
-    cluster_common.add_argument(
-        "--admission", default=REJECT_NEWEST, choices=POLICIES,
-        help="per-host overload policy")
-    cluster_common.add_argument(
-        "--max-batch", type=int, default=None,
-        help="batch size cap (default: backend preference)")
-    cluster_common.add_argument(
-        "--max-wait", type=float, default=2.0, metavar="MS",
-        help="dynamic batcher window in ms (default 2)")
-    cluster_common.add_argument(
-        "--warmup", type=int, default=0,
-        help="leading completions excluded from latency stats")
-    cluster_common.add_argument(
-        "--window", type=int, default=8,
-        help="per-shard stream window (default 8)")
-    cluster_common.add_argument(
-        "--spill-threshold", type=int, default=None, metavar="N",
-        help="outstanding requests before a shard spills to the "
-             "least-loaded host (default: window + queue depth)")
-
-    cluster_run = sub.add_parser(
-        "cluster-run", parents=[cluster_common],
-        help="one sharded multi-host serving run with roll-up report")
-    cluster_run.add_argument(
-        "--hosts", type=int, default=4,
-        help="number of serving hosts / ranks (default 4)")
-    cluster_run.add_argument(
-        "--rate", type=float, default=100.0,
-        help="Poisson arrival rate in req/s (default 100)")
-    cluster_run.add_argument(
-        "--kill-host", type=int, default=None, metavar="K",
-        help="kill whole host K mid-run (runs a baseline first)")
-    cluster_run.add_argument(
-        "--kill-at", type=float, default=0.5, metavar="FRAC",
-        help="kill time as a fraction of the baseline's serving "
-             "wall time (default 0.5)")
-    cluster_run.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record a Perfetto trace (one process group per rank) "
-             "+ utilisation report")
-    cluster_run.add_argument(
-        "--metrics", default=None, metavar="PATH",
-        help="dump the metric/trace events as JSONL for offline "
-             "trace-analyze")
-
-    cluster_sweep = sub.add_parser(
-        "cluster-sweep", parents=[cluster_common],
-        help="max sustainable arrival rate per cluster size")
-    cluster_sweep.add_argument(
-        "--hosts", default=None, metavar="LIST",
-        help="comma list of host counts to sweep "
-             "(default 1,2,4,8; 1,2 with --smoke)")
-    cluster_sweep.add_argument(
-        "--steps", type=int, default=8,
-        help="bisection steps per host count (default 8)")
-    cluster_sweep.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized sweep (96 requests, 3 steps, hosts 1,2)")
-    cluster_sweep.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="fan host counts across N processes "
-             "(results identical to --jobs 1)")
-    cluster_sweep.set_defaults(requests=200)
-
-    autoscale_common = argparse.ArgumentParser(add_help=False)
-    autoscale_common.add_argument(
-        "--pool", type=int, default=4, metavar="N",
-        help="host slots the frontend may scale across (default 4)")
-    autoscale_common.add_argument(
-        "--peak-rate", type=float, default=None, metavar="RPS",
-        help="diurnal peak arrival rate (default: 2.5x one host's "
-             "closed-loop throughput)")
-    autoscale_common.add_argument(
-        "--period", type=float, default=2.0, metavar="S",
-        help="diurnal period — one traffic day — in seconds "
-             "(default 2)")
-    autoscale_common.add_argument(
-        "--floor", type=float, default=0.1, metavar="FRAC",
-        help="overnight trough as a fraction of peak (default 0.1)")
-    autoscale_common.add_argument(
-        "--min-hosts", type=int, default=1,
-        help="autoscaler floor (default 1)")
-    autoscale_common.add_argument(
-        "--max-hosts", type=int, default=None,
-        help="autoscaler ceiling (default: the pool size)")
-    autoscale_common.add_argument(
-        "--interval", type=float, default=20.0, metavar="MS",
-        help="autoscaler tick interval in ms (default 20)")
-    autoscale_common.add_argument(
-        "--cooldown", type=float, default=50.0, metavar="MS",
-        help="minimum gap between scale actions in ms (default 50)")
-    autoscale_common.add_argument(
-        "--warm-pool", type=int, default=1, metavar="N",
-        help="idle slots kept pre-initialised (default 1)")
-    autoscale_common.add_argument(
-        "--high-water", type=float, default=4.0, metavar="N",
-        help="reactive: per-host outstanding before scale-out "
-             "(default 4)")
-    autoscale_common.add_argument(
-        "--low-water", type=float, default=1.0, metavar="N",
-        help="reactive: per-host outstanding after removal that "
-             "permits scale-in (default 1)")
-    autoscale_common.add_argument(
-        "--lead", type=float, default=100.0, metavar="MS",
-        help="predictive: pre-warm lead time in ms (default 100)")
-    autoscale_common.add_argument(
-        "--utilization", type=float, default=0.7, metavar="FRAC",
-        help="predictive: target per-host utilisation (default 0.7)")
-    autoscale_common.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized run (120 requests, pool of 3)")
-    autoscale_common.add_argument(
-        "--fluid", action="store_true",
-        help="hybrid fluid/DES model instead of per-request DES "
-             "(million-user days in milliseconds; see DESIGN.md "
-             "section 16 for the validity envelope)")
-
-    autoscale_run = sub.add_parser(
-        "autoscale-run", parents=[cluster_common, autoscale_common],
-        help="one elastic cluster run over a diurnal day trace")
-    autoscale_run.add_argument(
-        "--policy", default="reactive",
-        choices=["reactive", "predictive"],
-        help="scale policy (default reactive)")
-    autoscale_run.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record a Perfetto trace (one process group per rank) "
-             "+ utilisation report")
-    autoscale_run.add_argument(
-        "--metrics", default=None, metavar="PATH",
-        help="dump the metric/trace events as JSONL for offline "
-             "trace-analyze")
-    autoscale_run.add_argument(
-        "--fluid-gate", action="store_true",
-        help="run BOTH the fluid model and the pure-DES cluster, "
-             "print the equivalence gate, exit non-zero on "
-             "disagreement")
-
-    autoscale_sweep = sub.add_parser(
-        "autoscale-sweep",
-        parents=[cluster_common, autoscale_common],
-        help="cost-vs-SLO frontier: elastic policies vs fixed-N")
-    autoscale_sweep.set_defaults(requests=300)
-
-    flow_common = argparse.ArgumentParser(add_help=False)
-    flow_common.add_argument(
-        "--scale", default="micro", choices=["micro", "mini"],
-        help="workflow model scale (default micro)")
-    flow_common.add_argument(
-        "--devices", type=int, default=4,
-        help="NCS sticks behind each VPU stage (default 4)")
-    flow_common.add_argument(
-        "--requests", type=int, default=120,
-        help="workflow requests per run (default 120)")
-    flow_common.add_argument(
-        "--seed", type=int, default=0,
-        help="workload seed (same seed -> byte-identical run)")
-    flow_common.add_argument(
-        "--slo", type=float, default=800.0, metavar="MS",
-        help="workflow p99 end-to-end objective in ms (default 800: "
-             "a cascade holds two serving stages plus a join)")
-    flow_common.add_argument(
-        "--deadline", type=float, default=None, metavar="MS",
-        help="per-workflow deadline in ms, shared by every stage the "
-             "request touches (default: none)")
-    flow_common.add_argument(
-        "--queue-depth", type=int, default=64,
-        help="per-stage admission queue bound (default 64)")
-    flow_common.add_argument(
-        "--admission", default=REJECT_NEWEST, choices=POLICIES,
-        help="per-stage overload policy")
-    flow_common.add_argument(
-        "--max-wait", type=float, default=2.0, metavar="MS",
-        help="per-stage dynamic batcher window in ms (default 2)")
-    flow_common.add_argument(
-        "--warmup", type=int, default=0,
-        help="leading completed workflows excluded from latency "
-             "stats")
-    flow_common.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized run (40 workflows, 2 sticks)")
-
-    workflow_run = sub.add_parser(
-        "workflow-run", parents=[flow_common],
-        help="one multi-model workflow DAG run (cascade / ensemble / "
-             "escalate) with per-stage + workflow SLO report")
-    workflow_run.add_argument(
-        "--workflow", default="cascade",
-        choices=["cascade", "ensemble", "escalate", "monolithic"],
-        help="built-in workflow to run (default cascade)")
-    workflow_run.add_argument(
-        "--rate", type=float, default=40.0,
-        help="Poisson arrival rate in workflows/s (default 40)")
-    workflow_run.add_argument(
-        "--stage-slo", type=float, default=None, metavar="MS",
-        help="per-stage SLO in ms for the cascade's model stages "
-             "(default: none)")
-    workflow_run.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record a Perfetto trace + utilisation report (the "
-             "waterfall spans every stage of the cascade)")
-    workflow_run.add_argument(
-        "--metrics", default=None, metavar="PATH",
-        help="dump the metric/trace events as JSONL for offline "
-             "trace-analyze")
-
-    workflow_sweep = sub.add_parser(
-        "workflow-sweep", parents=[flow_common],
-        help="cascade vs monolithic classify at matched offered "
-             "rates")
-    workflow_sweep.add_argument(
-        "--rates", default=None, metavar="LIST",
-        help="comma list of offered rates in workflows/s "
-             "(default 20,40,80; 20,40 with --smoke)")
-    workflow_sweep.set_defaults(requests=80)
-
-    trace_analyze = sub.add_parser(
-        "trace-analyze",
-        help="analyze a recorded metrics JSONL dump offline")
-    trace_analyze.add_argument(
-        "path", metavar="PATH",
-        help="metrics JSONL file from serve-run/cluster-run "
-             "--metrics")
-    trace_analyze.add_argument(
-        "--window", type=float, default=50.0, metavar="MS",
-        help="timeline aggregation window in ms (default 50)")
-    trace_analyze.add_argument(
-        "--slo", type=float, default=500.0, metavar="MS",
-        help="SLO threshold in ms for burn-rate analysis "
-             "(default 500)")
-    trace_analyze.add_argument(
-        "--waterfalls", type=int, default=1, metavar="N",
-        help="completed request waterfalls to print (default 1)")
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.description)
+        for add_flags in command.flags:
+            add_flags(p)
+        p.set_defaults(**command.defaults)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if args.command == "list":
-        return _cmd_list(args)
-    if args.command in _FIGURES:
-        return _cmd_figure(args.command, args)
-    if args.command == "headline":
-        return _cmd_headline(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "audit":
-        return _cmd_audit(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "profile-run":
-        return _cmd_profile_run(args)
-    if args.command == "chaos-run":
-        return _cmd_chaos_run(args)
-    if args.command == "serve-run":
-        return _cmd_serve_run(args)
-    if args.command == "serve-sweep":
-        return _cmd_serve_sweep(args)
-    if args.command == "split-sweep":
-        return _cmd_split_sweep(args)
-    if args.command == "cluster-run":
-        return _cmd_cluster_run(args)
-    if args.command == "cluster-sweep":
-        return _cmd_cluster_sweep(args)
-    if args.command == "autoscale-run":
-        return _cmd_autoscale_run(args)
-    if args.command == "autoscale-sweep":
-        return _cmd_autoscale_sweep(args)
-    if args.command == "workflow-run":
-        return _cmd_workflow_run(args)
-    if args.command == "workflow-sweep":
-        return _cmd_workflow_sweep(args)
-    if args.command == "trace-analyze":
-        return _cmd_trace_analyze(args)
-    raise AssertionError("unreachable")
+    try:
+        return COMMANDS[args.command].run(args)
+    except _Usage as exc:
+        print(exc)
+        return 2
 
 
 if __name__ == "__main__":

@@ -344,3 +344,57 @@ def test_missing_output_directory_names_its_flag(tmp_path, flag):
     path = tmp_path / "missing" / "out.json"
     with pytest.raises(ObservabilityError, match=f"^{flag}: directory"):
         main(["serve-run", "--requests", "5", flag, str(path)])
+
+
+def test_every_command_renders_its_help(capsys):
+    from repro.harness.cli import COMMANDS
+
+    for name in COMMANDS:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([name, "--help"])
+        assert exc.value.code == 0
+        assert f"usage: repro {name}" in capsys.readouterr().out
+
+
+def test_chaos_run_checks_kill_stick_before_the_baseline(capsys):
+    assert main(["chaos-run", "--devices", "2", "--images", "8",
+                 "--batch", "8", "--kill-stick", "5"]) == 2
+    out = capsys.readouterr().out
+    assert "--kill-stick must be in [0, 1], got 5" in out
+    assert "baseline" not in out
+
+
+def test_chaos_run_rejects_kill_stick_with_random_plans(capsys):
+    assert main(["chaos-run", "--devices", "2", "--images", "8",
+                 "--batch", "8", "--kill-stick", "0",
+                 "--random-plans", "2"]) == 2
+    out = capsys.readouterr().out
+    assert "--kill-stick and --random-plans are exclusive" in out
+    assert "baseline" not in out
+
+
+@pytest.mark.parametrize("backends, stick, message", [
+    ("vpu2", "7", "--kill-stick must be in [0, 1], got 7"),
+    ("vpu4,vpu2", "2", "--kill-stick must be in [0, 1], got 2"),
+    ("vpu2", "-1", "--kill-stick must be in [0, 1], got -1"),
+    ("cpu", "0", "--kill-stick needs a plain vpuN backend"),
+    ("vpu2+cpu", "0", "--kill-stick needs a plain vpuN backend"),
+])
+def test_serve_run_checks_kill_stick_before_the_baseline(
+        capsys, backends, stick, message):
+    assert main(["serve-run", "--backends", backends, "--requests", "8",
+                 "--kill-stick", stick]) == 2
+    out = capsys.readouterr().out
+    assert message in out
+    assert "baseline" not in out
+
+
+@pytest.mark.parametrize("fluid", ["--fluid", "--fluid-gate"])
+@pytest.mark.parametrize("flag", ["--trace", "--metrics"])
+def test_autoscale_fluid_rejects_observability(tmp_path, capsys, fluid,
+                                               flag):
+    path = tmp_path / "out.json"
+    assert main(["autoscale-run", "--smoke", fluid, flag,
+                 str(path)]) == 2
+    assert "the fluid model records no spans" in capsys.readouterr().out
+    assert not path.exists()
