@@ -62,6 +62,16 @@ class ScaleEvent:
     live_after: int  #: routable hosts immediately after the action
 
 
+def nearest_rank_p99(latencies: Iterable[float]) -> Optional[float]:
+    """Nearest-rank p99 of a rolling latency window, or None when it
+    is empty: element ``ceil(0.99 n) - 1`` of the sorted window —
+    deterministic, no interpolation."""
+    ordered = sorted(latencies)
+    if not ordered:
+        return None
+    return ordered[max(0, math.ceil(0.99 * len(ordered)) - 1)]
+
+
 @dataclass(frozen=True)
 class AutoscaleSignal:
     """What a policy sees at one autoscaler tick.
@@ -258,13 +268,8 @@ class Autoscaler:
 
     def rolling_p99(self) -> Optional[float]:
         """p99 over the rolling completion window, or None when
-        nothing completed yet.  Nearest-rank on a sorted copy —
-        deterministic, no interpolation."""
-        if not self._latencies:
-            return None
-        ordered = sorted(self._latencies)
-        rank = max(0, math.ceil(0.99 * len(ordered)) - 1)
-        return ordered[rank]
+        nothing completed yet (see :func:`nearest_rank_p99`)."""
+        return nearest_rank_p99(self._latencies)
 
     # -- the control loop ------------------------------------------------
     def run(self, server: Any) -> Generator[Any, None, None]:

@@ -165,30 +165,3 @@ class ILSVRCValidation:
     def labels_for(self, records: Sequence[ImageRecord]) -> np.ndarray:
         """Ground-truth label vector for a list of records."""
         return np.array([r.label for r in records], dtype=np.int64)
-
-    # -- on-disk materialisation ---------------------------------------------
-    def export_to_dir(self, directory, subset: int,
-                      limit: int | None = None) -> int:
-        """Write a subset to disk as PPM files + a ground-truth list.
-
-        Produces ``ILSVRC2012_val_XXXXXXXX.ppm`` files and a
-        ``val_ground_truth.txt`` (``image_id label wnid`` per line) —
-        the on-disk layout the paper's OpenCV-based harness walks.
-        Returns the number of images written.
-        """
-        from pathlib import Path
-
-        from repro.data.ppm import write_ppm
-
-        out = Path(directory)
-        out.mkdir(parents=True, exist_ok=True)
-        lines = []
-        count = 0
-        for rec in self.iter_subset(subset, limit=limit):
-            stem = rec.filename.rsplit(".", 1)[0]
-            write_ppm(out / f"{stem}.ppm", self.pixels(rec.image_id))
-            lines.append(f"{rec.image_id} {rec.label} {rec.wnid}")
-            count += 1
-        (out / "val_ground_truth.txt").write_text(
-            "\n".join(lines) + "\n")
-        return count

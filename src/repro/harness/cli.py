@@ -153,6 +153,14 @@ def _check_kill_stick(stick: int | None, rigs: list[int]) -> None:
                      f"got {stick}")
 
 
+def _check_sticks(sticks: int, what: str) -> int:
+    """A stick count of the paper's testbed (1-8), or a usage error."""
+    if not 1 <= sticks <= 8:
+        raise _Usage(f"{what}: the testbed drives 1-8 sticks, "
+                     f"got {sticks}")
+    return sticks
+
+
 def _tokens(spec: str, flag: str, what: str) -> list[str]:
     """The non-empty tokens of a comma list; at least one."""
     tokens = [t.strip() for t in spec.split(",") if t.strip()]
@@ -339,6 +347,7 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
     if args.kill_stick is not None and args.random_plans > 0:
         raise _Usage("--kill-stick and --random-plans are exclusive "
                      "(each random plan draws its own victim)")
+    _check_sticks(args.devices, "--devices")
     _check_kill_stick(args.kill_stick, [args.devices])
     run = partial(_chaos_run, args.images, args.devices, args.batch)
     base = run(None, None)
@@ -428,7 +437,8 @@ def _parse_split_token(token: str):
             (front == "vpu") == (back == "vpu"):
         raise _Usage(f"split spec {token!r} needs exactly one vpu side "
                      "and one of cpu/gpu (e.g. vpu4+cpu, cpu+vpu2)")
-    return front, back, (n_front if n_front is not None else n_back)
+    sticks = n_front if n_front is not None else n_back
+    return front, back, _check_sticks(sticks, f"split spec {token!r}")
 
 
 def _target(token: str, flag: str, *, split: bool, fault_plan=None,
@@ -454,7 +464,9 @@ def _target(token: str, flag: str, *, split: bool, fault_plan=None,
         return NvGPU(paper_timing_network(), functional=False)
     if token.startswith("vpu") and token[3:].isdigit():
         return IntelVPU(graph=paper_timing_graph(),
-                        num_devices=int(token[3:]), functional=False,
+                        num_devices=_check_sticks(int(token[3:]),
+                                                  f"{flag} {token}"),
+                        functional=False,
                         fault_plan=fault_plan, call_timeout=call_timeout)
     if split and "+" in token:
         from repro.split import build_split_target
@@ -708,6 +720,7 @@ def _cmd_workflow_run(args: argparse.Namespace) -> int:
     from repro.flow import build_workflow, render_workflow_report
     from repro.serve import PoissonWorkload
 
+    _check_sticks(args.devices, "--devices")
     if args.smoke:
         args.requests = min(args.requests, 40)
         args.rate = min(args.rate, 80.0)
@@ -744,6 +757,7 @@ def _cmd_workflow_sweep(args: argparse.Namespace) -> int:
     from repro.flow import build_workflow
     from repro.serve import PoissonWorkload
 
+    _check_sticks(args.devices, "--devices")
     if args.smoke:
         args.requests = min(args.requests, 30)
         if args.rates is None:
@@ -1241,10 +1255,12 @@ def _campaign(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scale", default="default",
                    help="functional scale: smoke|default|paper "
                         "(none skips the top-1 error experiments)")
+    _trace(p)
+
+
+def _json_dir(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json-dir", default=None,
                    help="also save each figure as JSON here")
-    _trace(p)
-    _jobs(p)
 
 
 def _run_spec(p: argparse.ArgumentParser) -> None:
@@ -1464,14 +1480,16 @@ _FLOW_DEFAULTS = {"requests": 80, "slo": 800.0, "devices": 4}
 
 COMMANDS: dict[str, Command] = {
     "list": Command("list available experiments", (), _cmd_list),
-    **{name: Command(description, (_campaign,), _cmd_figure)
+    **{name: Command(description, (_campaign, _json_dir, _jobs),
+                     _cmd_figure)
        for name, (description, _) in _FIGURES.items()},
     "headline": Command("the paper's §IV/§V headline numbers",
-                        (_campaign,), _cmd_headline),
+                        (_campaign, _jobs), _cmd_headline),
     "audit": Command("verify every quantitative claim in the paper",
                      (_campaign,), _cmd_audit),
     "report": Command("all of the above in one run",
-                      (_campaign, _report_flags), _cmd_report),
+                      (_campaign, _json_dir, _jobs, _report_flags),
+                      _cmd_report),
     "profile": Command("per-layer VPU timing report for a zoo model",
                        (_profile_flags,), _cmd_profile),
     "profile-run": Command("one instrumented run + utilisation report",

@@ -7,15 +7,13 @@ Two aspects of the paper lean on MPI:
 * §III / Fig. 3: ``MPIStream`` is a planned input source, citing the
   authors' "A data streaming model in MPI" (ExaMPI'15) [32].
 
-This package provides the substrate those references assume: a
-rank-addressed communicator with blocking and non-blocking
-point-to-point operations, broadcast, barrier and a streaming channel
-— all running on the deterministic DES clock with size-dependent
-transfer costs, so host-side pipelines that mix MPI messaging with NCS
-offload can be simulated end to end.
+This package provides the substrate the cluster layer runs on: a
+rank-addressed communicator that prices the interconnect, and the
+bounded streaming window that carries requests between ranks — both
+on the deterministic DES clock with size-dependent transfer costs.
 """
 
-from repro.mpi.comm import Communicator, Request, Status
+from repro.mpi.comm import Communicator
 from repro.mpi.stream import StreamWindow
 
-__all__ = ["Communicator", "Request", "Status", "StreamWindow"]
+__all__ = ["Communicator", "StreamWindow"]

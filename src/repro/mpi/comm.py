@@ -1,77 +1,26 @@
 """Rank-addressed communicator over the DES.
 
-Semantics follow MPI's: ``send`` is blocking (completes when the
-message is buffered at the receiver — eager protocol), ``isend``
-returns a :class:`Request` immediately, ``recv`` blocks until a
-matching message (by source and tag) arrives.  Messages between a
-(source, dest) pair with the same tag are non-overtaking, like MPI
-guarantees.
-
-Transfer cost models an interconnect with per-message latency plus a
-bandwidth term on the payload's ``nbytes`` (NumPy arrays report their
-true size; other payloads are charged a nominal envelope).
+A :class:`Communicator` names the ranks of a fixed-size world and
+prices the interconnect: per-message latency plus a bandwidth term on
+the payload's ``nbytes`` (NumPy arrays report their true size; other
+payloads are charged a nominal envelope).  The streams that carry
+data between ranks (:class:`~repro.mpi.stream.StreamWindow`) validate
+their endpoints and charge their wire time through it.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from typing import Any, Generator, Optional
+from typing import Any
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.sim.core import Environment, Event
-from repro.sim.resources import Store
+from repro.sim.core import Environment
 from repro.units import GB
 
 #: Interconnect figures (QDR-InfiniBand-era cluster fabric).
 LINK_LATENCY_S = 2e-6
 LINK_BANDWIDTH_BYTES_S = 4 * GB
-
-ANY_SOURCE = -1
-ANY_TAG = -1
-
-
-@dataclass(frozen=True)
-class Status:
-    """Delivery metadata of a received message."""
-
-    source: int
-    tag: int
-    nbytes: int
-
-
-@dataclass(frozen=True)
-class _Envelope:
-    seq: int
-    source: int
-    dest: int
-    tag: int
-    payload: Any
-    nbytes: int
-
-
-class Request:
-    """Handle to a non-blocking operation (``isend`` / ``irecv``)."""
-
-    def __init__(self, env: Environment, event: Event) -> None:
-        self._env = env
-        self._event = event
-
-    @property
-    def event(self) -> Event:
-        """The underlying completion event (yield it in a process)."""
-        return self._event
-
-    @property
-    def complete(self) -> bool:
-        """True once the operation has finished."""
-        return self._event.processed
-
-    def wait(self) -> Event:
-        """Event completing with the operation's value (MPI_Wait)."""
-        return self._event
 
 
 def _payload_bytes(payload: Any) -> int:
@@ -96,16 +45,7 @@ class Communicator:
         self.size = size
         self.latency_s = latency_s
         self.bandwidth = bandwidth
-        # One mailbox Store per destination rank.
-        self._mailboxes = [Store(env) for _ in range(size)]
-        self._seq = itertools.count()
-        self._barrier_gen = 0
-        self._barrier_waiting = 0
-        self._barrier_event: Optional[Event] = None
-        self.messages_sent = 0
-        self.bytes_sent = 0
 
-    # -- validation -------------------------------------------------------
     def _check_rank(self, rank: int, name: str) -> None:
         if not 0 <= rank < self.size:
             raise SimulationError(
@@ -114,79 +54,3 @@ class Communicator:
     def transfer_seconds(self, nbytes: int) -> float:
         """Wire time of one message."""
         return self.latency_s + nbytes / self.bandwidth
-
-    # -- point to point -------------------------------------------------------
-    def isend(self, payload: Any, dest: int, tag: int = 0,
-              source: int = 0) -> Request:
-        """Non-blocking send; the request completes at delivery."""
-        self._check_rank(dest, "dest")
-        self._check_rank(source, "source")
-        if tag < 0:
-            raise SimulationError("tag must be >= 0 on the send side")
-        env = self.env
-        envelope = _Envelope(next(self._seq), source, dest, tag,
-                             payload, _payload_bytes(payload))
-
-        def deliver() -> Generator[Event, None, None]:
-            yield env.timeout(self.transfer_seconds(envelope.nbytes))
-            yield self._mailboxes[dest].put(envelope)
-            self.messages_sent += 1
-            self.bytes_sent += envelope.nbytes
-
-        return Request(env, env.process(deliver()))
-
-    def send(self, payload: Any, dest: int, tag: int = 0,
-             source: int = 0) -> Event:
-        """Blocking send (yieldable event)."""
-        return self.isend(payload, dest, tag, source).event
-
-    def irecv(self, dest: int, source: int = ANY_SOURCE,
-              tag: int = ANY_TAG) -> Request:
-        """Non-blocking receive; completes with (payload, Status)."""
-        self._check_rank(dest, "dest")
-        env = self.env
-
-        def match(envelope: _Envelope) -> bool:
-            return ((source == ANY_SOURCE or envelope.source == source)
-                    and (tag == ANY_TAG or envelope.tag == tag))
-
-        def receive() -> Generator[Event, None, tuple[Any, Status]]:
-            envelope = yield self._mailboxes[dest].get(match)
-            return envelope.payload, Status(
-                envelope.source, envelope.tag, envelope.nbytes)
-
-        return Request(env, env.process(receive()))
-
-    def recv(self, dest: int, source: int = ANY_SOURCE,
-             tag: int = ANY_TAG) -> Event:
-        """Blocking receive (yieldable event -> (payload, Status))."""
-        return self.irecv(dest, source, tag).event
-
-    # -- collectives ----------------------------------------------------------------
-    def bcast(self, payload: Any, root: int = 0) -> list[Request]:
-        """Root sends to every other rank; returns the send requests.
-
-        Receivers still call :meth:`recv` — this is the eager
-        broadcast of a flat tree, sufficient for the streaming use
-        case.
-        """
-        self._check_rank(root, "root")
-        return [self.isend(payload, dest, tag=0, source=root)
-                for dest in range(self.size) if dest != root]
-
-    def barrier(self) -> Event:
-        """All ranks must arrive before any proceeds.
-
-        Call once per rank per barrier generation; the returned event
-        fires when the last participant arrives.
-        """
-        if self._barrier_event is None or self._barrier_event.processed:
-            self._barrier_event = self.env.event()
-            self._barrier_waiting = 0
-        self._barrier_waiting += 1
-        event = self._barrier_event
-        if self._barrier_waiting == self.size:
-            self._barrier_gen += 1
-            event.succeed(self._barrier_gen)
-            self._barrier_event = None
-        return event

@@ -24,7 +24,6 @@ This package reproduces that design on the simulation substrate:
 from repro.ncsw.sources import (
     SourceImage,
     ImageFolder,
-    DiskImageFolder,
     MPIStream,
     SyntheticSource,
     WorkItem,
@@ -48,7 +47,6 @@ from repro.ncsw.faults import (
 __all__ = [
     "SourceImage",
     "ImageFolder",
-    "DiskImageFolder",
     "MPIStream",
     "SyntheticSource",
     "WorkItem",

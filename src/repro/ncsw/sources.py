@@ -111,56 +111,6 @@ class ImageFolder(SourceImage):
                            label=record.label, tensor=tensor)
 
 
-class DiskImageFolder(SourceImage):
-    """A real directory of PPM validation images on disk.
-
-    Reads the layout :meth:`repro.data.ilsvrc.ILSVRCValidation.
-    export_to_dir` writes: ``*.ppm`` files plus
-    ``val_ground_truth.txt``.  This is the closest analogue to the
-    paper's harness walking 50 000 JPEGs with OpenCV.
-    """
-
-    name = "disk_image_folder"
-
-    def __init__(self, directory, preprocessor: Preprocessor,
-                 limit: Optional[int] = None) -> None:
-        from pathlib import Path
-
-        self.directory = Path(directory)
-        self.preprocessor = preprocessor
-        truth_path = self.directory / "val_ground_truth.txt"
-        if not truth_path.exists():
-            raise FrameworkError(
-                f"{self.directory}: no val_ground_truth.txt — not an "
-                f"exported validation directory")
-        self._entries: list[tuple[int, int, str]] = []
-        for line in truth_path.read_text().splitlines():
-            if not line.strip():
-                continue
-            image_id, label, _wnid = line.split()
-            self._entries.append((int(image_id), int(label),
-                                  f"ILSVRC2012_val_{int(image_id):08d}"
-                                  f".ppm"))
-        if limit is not None:
-            if limit < 1:
-                raise FrameworkError(f"limit must be >= 1, got {limit}")
-            self._entries = self._entries[:limit]
-        if not self._entries:
-            raise FrameworkError(f"{self.directory}: empty ground truth")
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[WorkItem]:
-        from repro.data.ppm import read_ppm
-
-        for index, (image_id, label, filename) in enumerate(
-                self._entries):
-            pixels = read_ppm(self.directory / filename)
-            yield WorkItem(index=index, image_id=image_id, label=label,
-                           tensor=self.preprocessor(pixels))
-
-
 class SyntheticSource(SourceImage):
     """*count* timing-only items (no pixels, no labels).
 

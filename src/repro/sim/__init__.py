@@ -13,7 +13,6 @@ produce identical traces.
 from repro.sim.core import (Environment, Event, Process, Timeout,
                             Interrupt, CANCELLED)
 from repro.sim.resources import Resource, PriorityResource, Store
-from repro.sim.channel import Channel
 from repro.sim.monitor import Monitor, TraceRecorder
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "Resource",
     "PriorityResource",
     "Store",
-    "Channel",
     "Monitor",
     "TraceRecorder",
 ]

@@ -43,7 +43,6 @@ enough to afford one.
 from __future__ import annotations
 
 import hashlib
-import math
 import time as _time
 from collections import deque
 from dataclasses import dataclass, field
@@ -282,20 +281,16 @@ class FluidCluster:
         win_index = 0
         slot_gen = self.initial_hosts  #: next slot label to activate
 
-        def rolling_p99() -> Optional[float]:
-            if not recent:
-                return None
-            ordered = sorted(recent)
-            rank = max(0, math.ceil(0.99 * len(ordered)) - 1)
-            return ordered[rank]
-
         def tick(now: float) -> None:
             """One autoscaler decision, same clamps as the DES loop."""
             nonlocal live, warm, last_scale, slot_gen
             asc = self.autoscaler
             if asc is None:
                 return
-            from repro.cluster.autoscale import AutoscaleSignal
+            from repro.cluster.autoscale import (
+                AutoscaleSignal,
+                nearest_rank_p99,
+            )
 
             capacity = live + len(booting)
             addable = self.pool - capacity
@@ -303,7 +298,7 @@ class FluidCluster:
                 time=now, since_epoch=now, live=live,
                 booting=len(booting), addable=addable,
                 total_outstanding=int(round(q)),
-                rolling_p99=rolling_p99(),
+                rolling_p99=nearest_rank_p99(recent),
                 slo_seconds=self.slo_seconds)
             desired = asc.policy.desired(signal)
             ceiling = capacity + addable

@@ -11,14 +11,11 @@ from repro.tensors.layout import (
     conv_output_hw,
     pool_output_hw,
 )
-from repro.tensors.im2col import im2col, col2im
-from repro.tensors.tensor import Tensor
+from repro.tensors.im2col import im2col
 
 __all__ = [
     "BlobShape",
     "conv_output_hw",
     "pool_output_hw",
     "im2col",
-    "col2im",
-    "Tensor",
 ]

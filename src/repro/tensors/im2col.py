@@ -1,4 +1,4 @@
-"""im2col / col2im convolution lowering.
+"""im2col convolution lowering.
 
 Convolutions are lowered to GEMM by unfolding input patches into a
 matrix — the strategy used by Caffe (and by the NCSDK's SHAVE kernels
@@ -51,22 +51,6 @@ def patch_cache_info() -> dict[str, int]:
     """Current cache occupancy (observability/test helper)."""
     return {"index_entries": len(_index_cache),
             "scratch_entries": len(_scratch_cache)}
-
-
-def _patch_indices(c: int, h: int, w: int, kernel: int, stride: int,
-                   pad: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                      int, int]:
-    """Index arrays mapping (C*K*K, OH*OW) columns into the padded input.
-
-    Kept for API compatibility (and the col2im scatter); derived from
-    the cached flat indices, so both callers share one cache entry.
-    """
-    flat, out_h, out_w = _flat_patch_indices(c, h, w, kernel, stride,
-                                             pad)
-    hp, wp = h + 2 * pad, w + 2 * pad
-    chans, rem = np.divmod(flat, hp * wp)
-    rows, cols = np.divmod(rem, wp)
-    return chans, rows, cols, out_h, out_w
 
 
 def _flat_patch_indices(c: int, h: int, w: int, kernel: int,
@@ -140,25 +124,6 @@ def im2col(x: np.ndarray, kernel: int, stride: int,
     flat_view = np.ascontiguousarray(xp).reshape(n, -1)
     return flat_view.take(flat.ravel(), axis=1).reshape(
         n, flat.shape[0], flat.shape[1])
-
-
-def col2im(cols: np.ndarray, x_shape: tuple[int, int, int, int],
-           kernel: int, stride: int, pad: int) -> np.ndarray:
-    """Fold a patch matrix back into NCHW, summing overlapping patches.
-
-    Inverse-adjoint of :func:`im2col`; not needed for inference but
-    included (and tested) to validate the index construction.  Shares
-    the cached index arrays with :func:`im2col`.
-    """
-    n, c, h, w = x_shape
-    flat, _, _ = _flat_patch_indices(c, h, w, kernel, stride, pad)
-    padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad),
-                      dtype=cols.dtype)
-    # scatter-add each patch element back to its source location
-    np.add.at(padded.reshape(n, -1), (slice(None), flat), cols)
-    if pad > 0:
-        return padded[:, :, pad:-pad, pad:-pad]
-    return padded
 
 
 def conv2d_gemm(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,

@@ -373,6 +373,42 @@ def test_chaos_run_rejects_kill_stick_with_random_plans(capsys):
     assert "baseline" not in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["serve-run", "--backends", "vpu2,vpu9"],
+     "--backends vpu9: the testbed drives 1-8 sticks, got 9"),
+    (["serve-run", "--backends", "cpu+vpu9"],
+     "split spec 'cpu+vpu9': the testbed drives 1-8 sticks, got 9"),
+    (["cluster-run", "--host-backends", "vpu9"],
+     "--host-backends vpu9: the testbed drives 1-8 sticks, got 9"),
+    (["chaos-run", "--devices", "0"],
+     "--devices: the testbed drives 1-8 sticks, got 0"),
+    (["workflow-run", "--devices", "9"],
+     "--devices: the testbed drives 1-8 sticks, got 9"),
+], ids=["serve-run", "serve-run-split", "cluster-run", "chaos-run",
+        "workflow-run"])
+def test_stick_count_out_of_range_is_a_usage_error(capsys, argv,
+                                                   message):
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert message in out
+    assert "baseline" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["headline", "--json-dir", "out"],
+    ["audit", "--json-dir", "out"],
+    ["audit", "--jobs", "2"],
+], ids=["headline-json-dir", "audit-json-dir", "audit-jobs"])
+def test_headline_and_audit_reject_flags_they_would_ignore(
+        tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--images", "8", "--scale", "none"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("backends, stick, message", [
     ("vpu2", "7", "--kill-stick must be in [0, 1], got 7"),
     ("vpu4,vpu2", "2", "--kill-stick must be in [0, 1], got 2"),

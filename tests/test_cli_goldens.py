@@ -32,6 +32,9 @@ CASES = {
     "serve_run_vpu2_cpu": ["serve-run", "--backends", "vpu2+cpu",
                            "--requests", "60", "--rate", "25", "--seed",
                            "7"],
+    "cluster_run_2hosts": ["cluster-run", "--hosts", "2", "--requests",
+                           "60", "--rate", "400", "--slo", "20000",
+                           "--seed", "7"],
     "cluster_sweep_smoke": ["cluster-sweep", "--smoke"],
     "autoscale_run_smoke": ["autoscale-run", "--smoke"],
     "workflow_run_smoke": ["workflow-run", "--smoke"],
@@ -40,6 +43,7 @@ CASES = {
 # Observability flags per case; the files land in the test's tmp dir.
 OBS = {
     "serve_run_vpu2_cpu": ["--metrics", "serve.jsonl"],
+    "cluster_run_2hosts": ["--metrics", "cluster.jsonl"],
     "autoscale_run_smoke": ["--metrics", "autoscale.jsonl"],
     "workflow_run_smoke": ["--trace", "wf.json", "--metrics", "wf.jsonl"],
 }

@@ -21,8 +21,6 @@ POSITIONALS = {"trace-analyze": {"path": "metrics.jsonl"}}
 SURFACE = {
     "audit": {
         "--images": ("int", 160),
-        "--jobs": ("int", 1),
-        "--json-dir": ("str", None),
         "--scale": ("str", "default"),
         "--trace": ("str", None),
     },
@@ -184,7 +182,6 @@ SURFACE = {
     "headline": {
         "--images": ("int", 160),
         "--jobs": ("int", 1),
-        "--json-dir": ("str", None),
         "--scale": ("str", "default"),
         "--trace": ("str", None),
     },

@@ -1,11 +1,9 @@
 """Tests for the miniature MPI substrate."""
 
-import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.mpi import Communicator, StreamWindow
-from repro.mpi.comm import ANY_SOURCE, ANY_TAG
 from repro.sim import Environment
 
 
@@ -16,52 +14,10 @@ def test_communicator_validation():
     with pytest.raises(SimulationError):
         Communicator(env, 2, bandwidth=0)
     comm = Communicator(env, 2)
-    with pytest.raises(SimulationError):
-        comm.isend("x", dest=5)
-    with pytest.raises(SimulationError):
-        comm.isend("x", dest=0, tag=-1)
-
-
-def test_blocking_send_recv():
-    env = Environment()
-    comm = Communicator(env, 2)
-    got = []
-
-    def rank0():
-        yield comm.send({"a": 7}, dest=1, tag=11, source=0)
-
-    def rank1():
-        payload, status = yield comm.recv(dest=1, source=0, tag=11)
-        got.append((payload, status))
-
-    env.process(rank0())
-    env.process(rank1())
-    env.run()
-    payload, status = got[0]
-    assert payload == {"a": 7}
-    assert status.source == 0 and status.tag == 11
-
-
-def test_nonblocking_isend_wait():
-    env = Environment()
-    comm = Communicator(env, 2)
-    marks = {}
-
-    def rank0():
-        req = comm.isend(np.zeros(1000, dtype=np.float32), dest=1,
-                         source=0)
-        marks["after_isend"] = env.now   # returns immediately
-        yield req.wait()
-        marks["after_wait"] = env.now
-
-    def rank1():
-        yield comm.recv(dest=1)
-
-    env.process(rank0())
-    env.process(rank1())
-    env.run()
-    assert marks["after_isend"] == 0.0
-    assert marks["after_wait"] > 0.0
+    with pytest.raises(SimulationError, match="dest 5 out of range"):
+        StreamWindow(comm, 0, 5)
+    with pytest.raises(SimulationError, match="source -1 out of range"):
+        StreamWindow(comm, -1, 1)
 
 
 def test_transfer_time_scales_with_bytes():
@@ -71,140 +27,6 @@ def test_transfer_time_scales_with_bytes():
     large = comm.transfer_seconds(4_000_000_000)
     assert large == pytest.approx(1.0, rel=0.01)
     assert small < large
-
-
-def test_messages_non_overtaking_same_tag():
-    env = Environment()
-    comm = Communicator(env, 2)
-    got = []
-
-    def producer():
-        for i in range(5):
-            yield comm.send(i, dest=1, tag=3, source=0)
-
-    def consumer():
-        for _ in range(5):
-            payload, _ = yield comm.recv(dest=1, source=0, tag=3)
-            got.append(payload)
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert got == [0, 1, 2, 3, 4]
-
-
-def test_tag_matching_skips_other_tags():
-    env = Environment()
-    comm = Communicator(env, 2)
-    got = []
-
-    def producer():
-        yield comm.send("wrong", dest=1, tag=1, source=0)
-        yield comm.send("right", dest=1, tag=2, source=0)
-
-    def consumer():
-        payload, _ = yield comm.recv(dest=1, tag=2)
-        got.append(payload)
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert got == ["right"]
-
-
-def test_any_source_any_tag():
-    env = Environment()
-    comm = Communicator(env, 3)
-    got = []
-
-    def producer(rank, delay):
-        yield env.timeout(delay)
-        yield comm.send(f"from{rank}", dest=2, tag=rank, source=rank)
-
-    def consumer():
-        for _ in range(2):
-            payload, status = yield comm.recv(
-                dest=2, source=ANY_SOURCE, tag=ANY_TAG)
-            got.append((payload, status.source))
-
-    env.process(producer(0, 1.0))
-    env.process(producer(1, 0.5))
-    env.process(consumer())
-    env.run()
-    assert got[0] == ("from1", 1)  # earlier sender arrives first
-    assert got[1] == ("from0", 0)
-
-
-def test_bcast_reaches_all_ranks():
-    env = Environment()
-    comm = Communicator(env, 4)
-    got = []
-
-    def root():
-        for req in comm.bcast("hello", root=0):
-            yield req.wait()
-
-    def leaf(rank):
-        payload, status = yield comm.recv(dest=rank, source=0)
-        got.append((rank, payload, status.source))
-
-    env.process(root())
-    for r in (1, 2, 3):
-        env.process(leaf(r))
-    env.run()
-    assert sorted(got) == [(1, "hello", 0), (2, "hello", 0),
-                           (3, "hello", 0)]
-
-
-def test_barrier_synchronises():
-    env = Environment()
-    comm = Communicator(env, 3)
-    release_times = []
-
-    def rank(delay):
-        yield env.timeout(delay)
-        yield comm.barrier()
-        release_times.append(env.now)
-
-    for d in (1.0, 2.0, 5.0):
-        env.process(rank(d))
-    env.run()
-    assert release_times == [5.0, 5.0, 5.0]
-
-
-def test_barrier_reusable_across_generations():
-    env = Environment()
-    comm = Communicator(env, 2)
-    log = []
-
-    def rank(idx, delays):
-        for d in delays:
-            yield env.timeout(d)
-            gen = yield comm.barrier()
-            log.append((gen, idx, env.now))
-
-    env.process(rank(0, [1.0, 1.0]))
-    env.process(rank(1, [2.0, 3.0]))
-    env.run()
-    gens = [g for g, _, _ in log]
-    assert sorted(set(gens)) == [1, 2]
-    # Second barrier releases at max(1+1 from rank0, 2+3 from rank1)=5.
-    assert max(t for g, _, t in log if g == 2) == 5.0
-
-
-def test_accounting_counters():
-    env = Environment()
-    comm = Communicator(env, 2)
-
-    def proc():
-        yield comm.send(np.zeros(100, dtype=np.float64), dest=1,
-                        source=0)
-        yield comm.recv(dest=1)
-
-    env.process(proc())
-    env.run()
-    assert comm.messages_sent == 1
-    assert comm.bytes_sent == 800
 
 
 # --- stream window ----------------------------------------------------------------

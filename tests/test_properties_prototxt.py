@@ -1,8 +1,9 @@
-"""Property tests: random layer stacks survive serialisation intact.
+"""Property tests: random layer stacks survive compilation intact.
 
-Hypothesis generates arbitrary valid conv/pool/relu/lrn stacks; the
-prototxt round-trip must preserve the topology (shapes, MAC counts,
-layer names) and the compiled-graph round-trip must preserve timing.
+Hypothesis generates arbitrary valid conv/pool/relu/lrn stacks; every
+one must compile to a feasible plan, and the compiled-graph round-trip
+(``CompiledGraph.to_bytes`` / ``from_bytes``) must preserve timing and
+function.
 """
 
 import numpy as np
@@ -18,7 +19,6 @@ from repro.nn import (
     ReLU,
     Softmax,
 )
-from repro.nn.prototxt import from_prototxt, to_prototxt
 from repro.nn.weights import initialize_network
 from repro.tensors import BlobShape
 from repro.vpu import CompiledGraph, compile_graph
@@ -60,16 +60,6 @@ def random_network(draw):
             cur_blob = name
     net.add(Softmax("prob", cur_blob, "prob"))
     return net
-
-
-@given(random_network())
-@settings(max_examples=40, deadline=None)
-def test_property_prototxt_roundtrip_preserves_topology(net):
-    rebuilt = from_prototxt(to_prototxt(net))
-    assert [l.name for l in rebuilt.layers] == [
-        l.name for l in net.layers]
-    assert rebuilt.infer_shapes() == net.infer_shapes()
-    assert rebuilt.total_macs(1) == net.total_macs(1)
 
 
 @given(random_network())

@@ -1,4 +1,4 @@
-"""Tests for tensor substrate: layout math, im2col, Tensor wrapper."""
+"""Tests for tensor substrate: layout math and im2col."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from repro.errors import ShapeError
 from repro.tensors import (
     BlobShape,
-    Tensor,
-    col2im,
     conv_output_hw,
     im2col,
     pool_output_hw,
@@ -161,16 +159,6 @@ def test_conv2d_gemm_rect_kernel_rejected():
         conv2d_gemm(x, w, np.zeros(2, dtype=np.float32), 1, 0)
 
 
-def test_col2im_adjoint_counts_overlaps():
-    # col2im(im2col(ones)) counts how many patches cover each pixel.
-    x = np.ones((1, 1, 4, 4), dtype=np.float32)
-    cols = im2col(x, kernel=3, stride=1, pad=0)
-    folded = col2im(cols, (1, 1, 4, 4), kernel=3, stride=1, pad=0)
-    # Corner pixels appear in 1 patch, centre pixels in 4.
-    assert folded[0, 0, 0, 0] == 1
-    assert folded[0, 0, 1, 1] == 4
-
-
 @given(st.integers(4, 10), st.integers(1, 3), st.integers(1, 2),
        st.integers(0, 1), st.integers(1, 3))
 @settings(max_examples=50, deadline=None)
@@ -184,49 +172,3 @@ def test_property_conv_gemm_equals_direct(size, kernel, stride, pad, cin):
     fast = conv2d_gemm(x, w, b, stride, pad)
     ref = _reference_conv(x, w, b, stride, pad)
     np.testing.assert_allclose(fast, ref, rtol=1e-3, atol=1e-4)
-
-
-# --- Tensor -----------------------------------------------------------------
-
-def test_tensor_wraps_4d():
-    t = Tensor(np.zeros((2, 3, 4, 5)), name="data")
-    assert t.shape.as_tuple() == (2, 3, 4, 5)
-    assert t.name == "data"
-    assert t.data.dtype == np.float32
-    assert t.data.flags["C_CONTIGUOUS"]
-
-
-def test_tensor_promotes_2d_and_3d():
-    t2 = Tensor(np.zeros((4, 10)))
-    assert t2.shape.as_tuple() == (4, 10, 1, 1)
-    t3 = Tensor(np.zeros((3, 8, 8)))
-    assert t3.shape.as_tuple() == (1, 3, 8, 8)
-
-
-def test_tensor_rejects_other_dims():
-    with pytest.raises(ShapeError):
-        Tensor(np.zeros(5))
-    with pytest.raises(ShapeError):
-        Tensor(np.zeros((1, 2, 3, 4, 5)))
-
-
-def test_tensor_flat2d():
-    t = Tensor(np.arange(24).reshape(2, 3, 2, 2))
-    assert t.flat2d().shape == (2, 12)
-
-
-def test_tensor_clone_is_deep():
-    t = Tensor(np.zeros((1, 1, 2, 2)), name="a")
-    c = t.clone()
-    c.data[0, 0, 0, 0] = 9
-    assert t.data[0, 0, 0, 0] == 0
-    assert c.name == "a"
-    assert t.clone(name="b").name == "b"
-
-
-def test_tensor_zeros_factory():
-    t = Tensor.zeros(BlobShape(1, 3, 2, 2), name="z")
-    assert t.shape.count == 12
-    assert float(t.data.sum()) == 0.0
-    t2 = Tensor.zeros((2, 1, 1, 1))
-    assert t2.batch == 2
