@@ -5,11 +5,16 @@ processing (one blocking call per batch), FP32 functional execution on
 the NumPy substrate, simulated latency from a calibrated
 :class:`~repro.baselines.calibration.BatchLatencyModel`, and a TDP
 figure for the throughput-per-Watt analysis.
+
+Both run the same reference forward over the same prepared images, so
+the output rows one device computes are shared with the other through
+:data:`REFERENCE_MEMO` (see :class:`ReferenceMemo`).
 """
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+import weakref
+from typing import Generator, Optional, Sequence
 
 import numpy as np
 
@@ -20,12 +25,79 @@ from repro.numerics.quant import PrecisionPolicy
 from repro.sim.core import Environment, Event
 
 
+class ReferenceMemo:
+    """Output rows host devices already computed, per input tensor.
+
+    An entry is keyed on the network object, the precision policy and
+    the input tensor's identity.  Only read-only tensors that own their
+    data take part (the prepared tensors of an
+    :class:`~repro.ncsw.sources.ImageFolder`); a writable input could
+    change under the memo, so it always computes.  Each entry hangs
+    off a weakref to its tensor and dies with it, so nothing outlives
+    the source that prepared the images.  Only the numbers are shared:
+    each device still pays its own simulated time.
+    """
+
+    def __init__(self) -> None:
+        #: ``id(tensor) -> (weakref to it, {(network, policy): row})``
+        self._entries: dict[int, tuple[weakref.ref, dict]] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def _rows(self, tensor: np.ndarray) -> Optional[dict]:
+        """*tensor*'s rows by ``(network, policy)``, or None when it
+        may not be memoised."""
+        if tensor.flags.writeable or not tensor.flags.owndata:
+            return None
+        key = id(tensor)
+        entry = self._entries.get(key)
+        if entry is None or entry[0]() is not tensor:
+            ref = weakref.ref(tensor,
+                              lambda ref: self._forget(key, ref))
+            entry = self._entries[key] = (ref, {})
+        return entry[1]
+
+    def _forget(self, key: int, ref: weakref.ref) -> None:
+        entry = self._entries.get(key)
+        if entry is not None and entry[0] is ref:
+            del self._entries[key]
+
+    def forward(self, network: Network, policy: PrecisionPolicy,
+                images: Sequence[np.ndarray]) -> np.ndarray:
+        """``network.forward`` of the batch of CHW *images*, forwarding
+        only the rows not memoised yet.  The forward is batch
+        invariant, so a row is the same bits whichever batch computed
+        it."""
+        key = (network, policy)
+        memos = [self._rows(tensor) for tensor in images]
+        rows = [None if memo is None else memo.get(key)
+                for memo in memos]
+        missing = [pos for pos, row in enumerate(rows) if row is None]
+        if missing:
+            out = network.forward(
+                np.stack([images[pos] for pos in missing]), policy)
+            if all(memo is None for memo in memos):
+                return out
+            for pos, row in zip(missing, out):
+                rows[pos] = row
+                if memos[pos] is not None:
+                    memos[pos][key] = row
+        return np.stack(rows)
+
+
+#: The one memo every host device shares.
+REFERENCE_MEMO = ReferenceMemo()
+
+
 class InferenceDevice:
     """A host-side batch-processing inference device."""
 
     #: Overridden by subclasses.
     name = "device"
     tdp_watts = 0.0
+    #: The reference precision of both baselines.
+    policy = PrecisionPolicy.fp32()
 
     def __init__(self, env: Environment, network: Network,
                  latency_model: BatchLatencyModel,
@@ -79,8 +151,11 @@ class InferenceDevice:
                 f"batch={batch} disagrees with data batch {n}")
         return self.env.process(self._run(x, n))
 
-    def _run(self, x: Optional[np.ndarray],
+    def _run(self, images: Optional[Sequence[np.ndarray]],
              n: int) -> Generator[Event, None, Optional[np.ndarray]]:
+        """One batch: its simulated time, then the softmax output of
+        *images* (an NCHW batch or a list of CHW tensors; None when
+        timing only)."""
         seconds = self.batch_seconds(n)
         if self.jitter > 0:
             # Truncated multiplicative noise; never negative time.
@@ -90,9 +165,9 @@ class InferenceDevice:
         yield self.env.timeout(seconds)
         self.batches_run += 1
         self.images_run += n
-        if not self.functional or x is None:
+        if not self.functional or images is None:
             return None
-        return self.network.forward(x, PrecisionPolicy.fp32())
+        return REFERENCE_MEMO.forward(self.network, self.policy, images)
 
     def predict(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Synchronous functional prediction (no simulation clock).
@@ -100,7 +175,7 @@ class InferenceDevice:
         Used by the error-rate experiments, where only the outputs
         matter; FP32 is the reference precision of both baselines.
         """
-        return self.network.predict(x, PrecisionPolicy.fp32())
+        return self.network.predict(x, self.policy)
 
     def __repr__(self) -> str:
         return (f"<{type(self).__name__} tdp={self.tdp_watts}W "

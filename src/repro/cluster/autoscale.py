@@ -40,11 +40,11 @@ same scale events, byte-identical reports.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Generator, Iterable, Optional
 
 from repro.errors import FrameworkError
+from repro.sim.monitor import RollingP99
 
 #: Scale-event actions.
 SCALE_OUT = "scale-out"
@@ -60,16 +60,6 @@ class ScaleEvent:
     host: str        #: host (generation) activated or drained
     reason: str      #: policy / plan rationale, for the report
     live_after: int  #: routable hosts immediately after the action
-
-
-def nearest_rank_p99(latencies: Iterable[float]) -> Optional[float]:
-    """Nearest-rank p99 of a rolling latency window, or None when it
-    is empty: element ``ceil(0.99 n) - 1`` of the sorted window —
-    deterministic, no interpolation."""
-    ordered = sorted(latencies)
-    if not ordered:
-        return None
-    return ordered[max(0, math.ceil(0.99 * len(ordered)) - 1)]
 
 
 @dataclass(frozen=True)
@@ -252,7 +242,7 @@ class Autoscaler:
         self.cooldown_s = float(cooldown_s)
         self.warm_pool = warm_pool
         self.latency_window = latency_window
-        self._latencies: deque = deque(maxlen=latency_window)
+        self._latencies = RollingP99(latency_window)
         self._last_action: Optional[float] = None
 
     def reset(self) -> None:
@@ -268,8 +258,8 @@ class Autoscaler:
 
     def rolling_p99(self) -> Optional[float]:
         """p99 over the rolling completion window, or None when
-        nothing completed yet (see :func:`nearest_rank_p99`)."""
-        return nearest_rank_p99(self._latencies)
+        nothing completed yet (see :class:`~repro.sim.monitor.RollingP99`)."""
+        return self._latencies.p99()
 
     # -- the control loop ------------------------------------------------
     def run(self, server: Any) -> Generator[Any, None, None]:

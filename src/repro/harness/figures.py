@@ -372,6 +372,29 @@ def _precision_point(scale: str, subset: int,
             float(arr.mean()), float(arr.std()))
 
 
+#: Fig. 7a and 7b read the same per-subset points, so an untraced
+#: campaign computes them once per ``(scale, num_subsets)``; ``jobs``
+#: only changes how fast, not what.
+_PRECISION_POINTS: dict[tuple[str, int],
+                        list[tuple[float, float, float, float, float]]] = {}
+
+
+def _precision_points(scale: str, n: int, obs: Optional[ObsSession],
+                      jobs: int
+                      ) -> list[tuple[float, float, float, float, float]]:
+    """:func:`_precision_point` of subsets ``0..n-1``.  ``jobs > 1``
+    fans the subsets across processes; a traced run (``obs``) stays
+    serial and always computes, so its spans are recorded."""
+    if obs is not None:
+        return [_precision_point(scale, s, obs=obs) for s in range(n)]
+    points = _PRECISION_POINTS.get((scale, n))
+    if points is None:
+        points = parallel_map(partial(_precision_point, scale),
+                              range(n), jobs=jobs)
+        _PRECISION_POINTS[(scale, n)] = points
+    return points
+
+
 def fig7a_top1_error(scale: str = "default",
                      num_subsets: Optional[int] = None,
                      obs: Optional[ObsSession] = None,
@@ -393,12 +416,7 @@ def fig7a_top1_error(scale: str = "default",
         scale=scale,
     )
     subsets = tuple(f"Set-{i + 1}" for i in range(n))
-    if jobs > 1 and obs is None:
-        points = parallel_map(partial(_precision_point, scale),
-                              range(n), jobs=jobs)
-    else:
-        points = [_precision_point(scale, s, obs=obs)
-                  for s in range(n)]
+    points = _precision_points(scale, n, obs, jobs)
     cpu_err = [p[0] for p in points]
     gpu_err = [p[1] for p in points]
     vpu_err = [p[2] for p in points]
@@ -431,12 +449,7 @@ def fig7b_confidence_difference(
         scale=scale,
     )
     subsets = tuple(f"Set-{i + 1}" for i in range(n))
-    if jobs > 1 and obs is None:
-        points = parallel_map(partial(_precision_point, scale),
-                              range(n), jobs=jobs)
-    else:
-        points = [_precision_point(scale, s, obs=obs)
-                  for s in range(n)]
+    points = _precision_points(scale, n, obs, jobs)
     diffs = [p[3] for p in points]
     stds = [p[4] for p in points]
     result.series.append(Series("cpu_vs_vpu", subsets, tuple(diffs),

@@ -141,14 +141,14 @@ class _HostTarget(TargetDevice):
         assert self._device is not None and self._env is not None
         t0 = self._env.now
         tensors = [i.tensor for i in items]
-        x = (np.stack(tensors) if all(t is not None for t in tensors)
-             else None)
+        images = (tensors if all(t is not None for t in tensors)
+                  else None)
         obs = self._env.obs
         span = None
         if obs is not None:
             span = obs.tracer.begin("infer_batch", track=self.name,
                                     size=len(items))
-        probs = yield from self._device._run(x, len(items))
+        probs = yield from self._device._run(images, len(items))
         if obs is not None:
             obs.tracer.end(span)
             for item in items:

@@ -44,13 +44,13 @@ from __future__ import annotations
 
 import hashlib
 import time as _time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional
 
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.sim.monitor import RollingP99
 
 #: Window simulation modes.
 FLUID = "fluid"
@@ -271,7 +271,7 @@ class FluidCluster:
         scale_events: List[FluidScaleEvent] = []
         windows: List[FluidWindow] = []
         samples: List[tuple] = []
-        recent: deque = deque(maxlen=4096)  #: rolling sojourns
+        recent = RollingP99(4096)  #: rolling sojourns
         steps = 0
         #: DES-window carry: server next-free times persist across
         #: consecutive DES windows so a service longer than the tick
@@ -287,10 +287,7 @@ class FluidCluster:
             asc = self.autoscaler
             if asc is None:
                 return
-            from repro.cluster.autoscale import (
-                AutoscaleSignal,
-                nearest_rank_p99,
-            )
+            from repro.cluster.autoscale import AutoscaleSignal
 
             capacity = live + len(booting)
             addable = self.pool - capacity
@@ -298,7 +295,7 @@ class FluidCluster:
                 time=now, since_epoch=now, live=live,
                 booting=len(booting), addable=addable,
                 total_outstanding=int(round(q)),
-                rolling_p99=nearest_rank_p99(recent),
+                rolling_p99=recent.p99(),
                 slo_seconds=self.slo_seconds)
             desired = asc.policy.desired(signal)
             ceiling = capacity + addable

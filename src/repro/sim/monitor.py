@@ -2,14 +2,18 @@
 
 :class:`Monitor` accumulates ``(time, value)`` samples and computes
 time-weighted statistics — used for link utilisation, queue depths and
-power draw.  :class:`TraceRecorder` collects structured trace events
-(who did what, when) that the test-suite asserts against.
+power draw.  :class:`RollingP99` keeps the nearest-rank p99 of the
+latest latencies.  :class:`TraceRecorder` collects structured trace
+events (who did what, when) that the test-suite asserts against.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterator, Optional
 
 from repro.sim.core import Environment
 
@@ -76,6 +80,41 @@ class Monitor:
     def maximum(self) -> float:
         """Largest recorded value (0.0 if nothing recorded)."""
         return max(self.values) if self.values else 0.0
+
+
+class RollingP99:
+    """Nearest-rank p99 over the last *size* samples.
+
+    The window is kept in arrival order (to evict the oldest) and in
+    sorted order (``bisect``), so reading the p99 is one index:
+    element ``ceil(0.99 n) - 1`` of the sorted window, deterministic,
+    no interpolation.
+    """
+
+    def __init__(self, size: int) -> None:
+        self._window: deque = deque()
+        self._sorted: list[float] = []
+        self.size = size
+
+    def append(self, value: float) -> None:
+        """Add *value*, evicting the oldest sample of a full window."""
+        if len(self._window) == self.size:
+            old = self._window.popleft()
+            del self._sorted[bisect.bisect_left(self._sorted, old)]
+        self._window.append(value)
+        bisect.insort(self._sorted, value)
+
+    def clear(self) -> None:
+        """Empty the window."""
+        self._window.clear()
+        self._sorted.clear()
+
+    def p99(self) -> Optional[float]:
+        """The window's p99, or None while it is empty."""
+        ordered = self._sorted
+        if not ordered:
+            return None
+        return ordered[max(0, math.ceil(0.99 * len(ordered)) - 1)]
 
 
 @dataclass(frozen=True)

@@ -188,6 +188,27 @@ def test_fig7b_confidence_diff_small_but_nonzero():
     assert np.all(diffs < 0.05)  # paper: 0.44%
 
 
+def test_fig7a_and_fig7b_share_one_campaign(monkeypatch):
+    from repro.harness import figures
+
+    monkeypatch.setattr(figures, "_PRECISION_POINTS", {})
+    calls = []
+    runs = figures._precision_runs
+
+    def counting(ctx, subset, *args, **kwargs):
+        calls.append(subset)
+        return runs(ctx, subset, *args, **kwargs)
+
+    monkeypatch.setattr(figures, "_precision_runs", counting)
+    fig7a = fig7a_top1_error(scale="smoke", num_subsets=2)
+    fig7b = fig7b_confidence_difference(scale="smoke", num_subsets=2)
+    assert calls == [0, 1]
+    assert len(fig7a.series[0].y) == len(fig7b.series[0].y) == 2
+    # Another subset count is another campaign.
+    fig7b_confidence_difference(scale="smoke", num_subsets=1)
+    assert calls == [0, 1, 0]
+
+
 # --- headline table ----------------------------------------------------------------------
 
 def test_headline_table_timing_rows():

@@ -53,15 +53,22 @@ def test_timing_figure_jobs_equivalence(fig, kwargs):
     assert _series_fingerprint(serial) == _series_fingerprint(fanned)
 
 
+def _uncached(fig, jobs):
+    """*fig* at the smoke scale, computing its subsets afresh (Fig. 7a
+    and 7b keep their per-subset points between calls)."""
+    figures._PRECISION_POINTS.clear()
+    return fig(scale="smoke", jobs=jobs)
+
+
 def test_fig7a_jobs_equivalence_smoke():
-    serial = figures.fig7a_top1_error(scale="smoke", jobs=1)
-    fanned = figures.fig7a_top1_error(scale="smoke", jobs=2)
+    serial = _uncached(figures.fig7a_top1_error, jobs=1)
+    fanned = _uncached(figures.fig7a_top1_error, jobs=2)
     assert _series_fingerprint(serial) == _series_fingerprint(fanned)
 
 
 def test_fig7b_jobs_equivalence_smoke():
-    serial = figures.fig7b_confidence_difference(scale="smoke", jobs=1)
-    fanned = figures.fig7b_confidence_difference(scale="smoke", jobs=2)
+    serial = _uncached(figures.fig7b_confidence_difference, jobs=1)
+    fanned = _uncached(figures.fig7b_confidence_difference, jobs=2)
     assert _series_fingerprint(serial) == _series_fingerprint(fanned)
 
 

@@ -1,8 +1,12 @@
 """Unit tests for Monitor time-series probes and TraceRecorder."""
 
+import math
+import random
+
 import pytest
 
 from repro.sim import Environment, Monitor, TraceRecorder
+from repro.sim.monitor import RollingP99
 
 
 def _advance(env, t):
@@ -171,3 +175,21 @@ def test_trace_events_are_frozen():
     ev = tr.events[0]
     with pytest.raises(AttributeError):
         ev.time = 99
+
+
+def test_rolling_p99_is_the_nearest_rank_of_the_last_samples():
+    rng = random.Random(5)
+    for size in (1, 3, 64):
+        window = RollingP99(size)
+        assert window.p99() is None
+        seen = []
+        for _ in range(300):
+            # Few distinct values, so evictions hit duplicates.
+            value = rng.choice([0.5, 1.25, 2.0, rng.random()])
+            window.append(value)
+            seen.append(value)
+            last = sorted(seen[-size:])
+            assert window.p99() == last[max(
+                0, math.ceil(0.99 * len(last)) - 1)]
+        window.clear()
+        assert window.p99() is None
