@@ -89,6 +89,9 @@ class ReferenceMemo:
 #: The one memo every host device shares.
 REFERENCE_MEMO = ReferenceMemo()
 
+#: The reference precision of both baselines.
+_FP32 = PrecisionPolicy.fp32()
+
 
 class InferenceDevice:
     """A host-side batch-processing inference device."""
@@ -96,8 +99,6 @@ class InferenceDevice:
     #: Overridden by subclasses.
     name = "device"
     tdp_watts = 0.0
-    #: The reference precision of both baselines.
-    policy = PrecisionPolicy.fp32()
 
     def __init__(self, env: Environment, network: Network,
                  latency_model: BatchLatencyModel,
@@ -167,7 +168,7 @@ class InferenceDevice:
         self.images_run += n
         if not self.functional or images is None:
             return None
-        return REFERENCE_MEMO.forward(self.network, self.policy, images)
+        return REFERENCE_MEMO.forward(self.network, _FP32, images)
 
     def predict(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Synchronous functional prediction (no simulation clock).
@@ -175,7 +176,7 @@ class InferenceDevice:
         Used by the error-rate experiments, where only the outputs
         matter; FP32 is the reference precision of both baselines.
         """
-        return self.network.predict(x, self.policy)
+        return self.network.predict(x, _FP32)
 
     def __repr__(self) -> str:
         return (f"<{type(self).__name__} tdp={self.tdp_watts}W "

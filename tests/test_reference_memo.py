@@ -102,9 +102,9 @@ def test_another_policy_or_network_misses(ctx, monkeypatch):
     sizes = _count_forwards(monkeypatch, ctx.network)
     other_sizes = _count_forwards(monkeypatch, other)
 
-    fp16 = CPUDevice(env, ctx.network, functional=True)
-    fp16.policy = PrecisionPolicy.fp16()
-    assert _run(fp16, tensors).tobytes() == fp16_bits
+    fp16 = REFERENCE_MEMO.forward(ctx.network, PrecisionPolicy.fp16(),
+                                  tensors)
+    assert fp16.tobytes() == fp16_bits
     assert sizes == [4]
     out = _run(CPUDevice(env, other, functional=True), tensors)
     assert out.tobytes() == other_bits
