@@ -10,11 +10,11 @@ once — survives sharding in two parts:
   per-host offered counts plus frontend abandons sum back to the
   cluster's offered total.
 
-Latency statistics are computed over the *merged* completion stream
-(all hosts' completed requests ordered by completion time), with the
-warmup transient trimmed once at cluster level — the same
-steady-state view the serve layer uses, so cluster goodput and p99
-agree about which requests count.
+Latency statistics are the serve layer's
+:class:`~repro.serve.slo.SloStats` over the *merged* completion
+stream (all hosts' completed requests ordered by completion time),
+with the warmup transient trimmed once at cluster level, so cluster
+goodput and p99 agree about which requests count.
 """
 
 from __future__ import annotations
@@ -22,11 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from repro.errors import FrameworkError
 from repro.ncsw.faults import FailureEvent
-from repro.serve.slo import ServeResult
+from repro.serve.slo import ServeResult, SloStats
 from repro.serve.workload import Request
 
 
@@ -63,7 +61,7 @@ class HostShard:
 
 
 @dataclass
-class ClusterResult:
+class ClusterResult(SloStats):
     """Outcome of one sharded multi-host serving run."""
 
     offered: int
@@ -127,15 +125,6 @@ class ClusterResult:
         merged.sort(key=lambda r: (r.completed_at, r.request_id))
         return merged
 
-    def _steady_state(self) -> list[Request]:
-        """Merged completed requests past the cluster warmup."""
-        return self.completed_requests()[self.warmup:]
-
-    def e2e_latencies(self) -> list[float]:
-        """Arrival-to-completion latency per steady-state request."""
-        return [r.e2e_latency for r in self._steady_state()
-                if r.e2e_latency is not None]
-
     # -- tallies ---------------------------------------------------------
     @property
     def num_hosts(self) -> int:
@@ -167,83 +156,6 @@ class ClusterResult:
         """Host-level abandons plus frontend abandons."""
         return (sum(s.result.abandoned for s in self.shards)
                 + self.frontend_abandoned)
-
-    # -- percentiles -----------------------------------------------------
-    def latency_percentile(self, q: float) -> float:
-        """Merged end-to-end latency percentile (q in [0, 100])."""
-        latencies = self.e2e_latencies()
-        if not latencies:
-            raise ValueError(
-                "no completed requests past warmup: latency "
-                "percentiles are undefined for this run")
-        return float(np.percentile(latencies, q))
-
-    @property
-    def p50(self) -> float:
-        """Median merged end-to-end latency (seconds)."""
-        return self.latency_percentile(50)
-
-    @property
-    def p95(self) -> float:
-        """95th-percentile merged end-to-end latency (seconds)."""
-        return self.latency_percentile(95)
-
-    @property
-    def p99(self) -> float:
-        """99th-percentile merged end-to-end latency (seconds)."""
-        return self.latency_percentile(99)
-
-    # -- rates -----------------------------------------------------------
-    @property
-    def throughput(self) -> float:
-        """Completed requests per second of wall time, cluster-wide."""
-        if self.wall_seconds <= 0:
-            raise FrameworkError("run has no elapsed time")
-        return self.completed / self.wall_seconds
-
-    @property
-    def goodput(self) -> float:
-        """Steady-state completed-within-SLO requests per second."""
-        if self.wall_seconds <= 0:
-            raise FrameworkError("run has no elapsed time")
-        if self.slo_seconds is None:
-            return self.throughput
-        latencies = self.e2e_latencies()
-        good = sum(1 for lat in latencies
-                   if lat <= self.slo_seconds)
-        return good / self.wall_seconds
-
-    @property
-    def slo_attainment(self) -> float:
-        """Fraction of steady-state completions within the SLO."""
-        if self.slo_seconds is None:
-            return 1.0
-        latencies = self.e2e_latencies()
-        if not latencies:
-            return 1.0
-        good = sum(1 for lat in latencies
-                   if lat <= self.slo_seconds)
-        return good / len(latencies)
-
-    @property
-    def loss_rate(self) -> float:
-        """Fraction of offered requests that never completed."""
-        if self.offered == 0:
-            return 0.0
-        return 1.0 - self.completed / self.offered
-
-    @property
-    def slo_met(self) -> bool:
-        """The sweep's sustainability criterion, cluster-wide: every
-        request completed and merged p99 within the SLO."""
-        if self.slo_seconds is None:
-            raise FrameworkError("run has no SLO configured")
-        if self.completed < self.offered:
-            return False
-        try:
-            return self.p99 <= self.slo_seconds
-        except ValueError:
-            return False
 
     @property
     def degraded(self) -> bool:
@@ -300,13 +212,4 @@ class ClusterResult:
                 f"{self.num_hosts} hosts in {self.wall_seconds:.2f} s")
         if dead:
             head += f" ({dead} host{'s' if dead > 1 else ''} died)"
-        try:
-            tail = (f", p50 {self.p50 * 1000:.1f} ms / p99 "
-                    f"{self.p99 * 1000:.1f} ms")
-        except ValueError:
-            return head + ", no completed requests"
-        if self.slo_seconds is not None:
-            tail += (f", goodput {self.goodput:.1f} req/s vs SLO "
-                     f"{self.slo_seconds * 1000:.0f} ms "
-                     f"({'met' if self.slo_met else 'MISSED'})")
-        return head + tail
+        return self._with_latency(head)

@@ -77,10 +77,7 @@ def render_workflow_report(result: WorkflowResult,
                 f"{acct.abandoned}")
 
     if result.slo_seconds is not None:
-        verdict = "met" if (result.completed == result.offered
-                            and latencies
-                            and result.p99 <= result.slo_seconds) \
-            else "MISSED"
+        verdict = "met" if result.slo_met else "MISSED"
         lines.append(
             f"workflow SLO    : p99 vs "
             f"{result.slo_seconds * 1000:.0f} ms -> {verdict} "

@@ -8,7 +8,7 @@ cascades, a workflow SLO, and goodput in *workflows* per second.
 
 Two invariants are enforced in the constructor, mirroring
 :class:`~repro.ncsw.pipeline.PipelineResult` and
-:class:`~repro.cluster.frontend.ClusterResult`:
+:class:`~repro.cluster.result.ClusterResult`:
 
 * **exactly-once at the workflow level** — every offered workflow
   request resolves into exactly one terminal state, crosschecked
@@ -27,10 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-import numpy as np
-
 from repro.errors import FlowError
-from repro.serve.slo import ServeResult
+from repro.serve.slo import ServeResult, SloStats
 from repro.serve.workload import (
     ABANDONED,
     COMPLETED,
@@ -89,8 +87,10 @@ class FanOutAccount:
 
 
 @dataclass
-class WorkflowResult:
+class WorkflowResult(SloStats):
     """Outcome of one workflow run (the workflow-level roll-up)."""
+
+    error = FlowError
 
     workflow: str
     offered: int
@@ -145,15 +145,6 @@ class WorkflowResult:
         """Completed workflow requests in arrival order."""
         return [r for r in self.requests if r.status == COMPLETED]
 
-    def _steady_state(self) -> list[WorkflowRequest]:
-        """Completed requests past the warmup transient."""
-        return self.completed_requests()[self.warmup:]
-
-    def e2e_latencies(self) -> list[float]:
-        """Whole-cascade latency per steady-state request."""
-        return [r.e2e_latency for r in self._steady_state()
-                if r.e2e_latency is not None]
-
     def stage(self, name: str) -> StageResult:
         """The stage roll-up for one model step."""
         for stage in self.stages:
@@ -163,92 +154,6 @@ class WorkflowResult:
             f"no stage {name!r} in this workflow result; stages: "
             f"{[s.name for s in self.stages]}")
 
-    # -- percentiles ----------------------------------------------------
-    def latency_percentile(self, q: float) -> float:
-        """Workflow end-to-end latency percentile (q in [0, 100])."""
-        latencies = self.e2e_latencies()
-        if not latencies:
-            raise ValueError(
-                "no completed workflow requests past warmup: latency "
-                "percentiles are undefined for this run")
-        return float(np.percentile(latencies, q))
-
-    @property
-    def p50(self) -> float:
-        """Median workflow end-to-end latency."""
-        return self.latency_percentile(50)
-
-    @property
-    def p95(self) -> float:
-        """95th-percentile workflow end-to-end latency."""
-        return self.latency_percentile(95)
-
-    @property
-    def p99(self) -> float:
-        """99th-percentile workflow end-to-end latency."""
-        return self.latency_percentile(99)
-
-    @property
-    def mean_latency(self) -> float:
-        """Mean workflow end-to-end latency."""
-        latencies = self.e2e_latencies()
-        if not latencies:
-            raise ValueError(
-                "no completed workflow requests past warmup: mean "
-                "latency is undefined for this run")
-        return float(np.mean(latencies))
-
-    # -- rates ----------------------------------------------------------
-    @property
-    def throughput(self) -> float:
-        """Completed workflows per second of wall time."""
-        if self.wall_seconds <= 0:
-            raise FlowError("run has no elapsed time")
-        return self.completed / self.wall_seconds
-
-    @property
-    def slo_attainment(self) -> float:
-        """Fraction of steady-state completed workflows within the
-        workflow SLO (1.0 when no SLO or nothing completed)."""
-        if self.slo_seconds is None:
-            return 1.0
-        latencies = self.e2e_latencies()
-        if not latencies:
-            return 1.0
-        good = sum(1 for lat in latencies if lat <= self.slo_seconds)
-        return good / len(latencies)
-
-    @property
-    def goodput(self) -> float:
-        """Steady-state within-SLO completed workflows per second."""
-        if self.wall_seconds <= 0:
-            raise FlowError("run has no elapsed time")
-        if self.slo_seconds is None:
-            return self.throughput
-        latencies = self.e2e_latencies()
-        good = sum(1 for lat in latencies if lat <= self.slo_seconds)
-        return good / self.wall_seconds
-
-    @property
-    def loss_rate(self) -> float:
-        """Fraction of offered workflows that never completed."""
-        if self.offered == 0:
-            return 0.0
-        return 1.0 - self.completed / self.offered
-
-    @property
-    def slo_met(self) -> bool:
-        """True when p99 workflow latency is within the SLO and no
-        workflow request was lost."""
-        if self.slo_seconds is None:
-            raise FlowError("run has no workflow SLO configured")
-        if self.completed < self.offered:
-            return False
-        try:
-            return self.p99 <= self.slo_seconds
-        except ValueError:
-            return False
-
     @property
     def sub_requests_spawned(self) -> int:
         """Total sub-requests spawned across every fan-out region."""
@@ -256,26 +161,7 @@ class WorkflowResult:
 
     def summary(self) -> str:
         """One-line human-readable summary of the run."""
-        head = (f"{self.workflow}: {self.completed}/{self.offered} "
-                f"workflows in {self.wall_seconds:.2f} s")
-        losses = []
-        if self.shed:
-            losses.append(f"{self.shed} shed")
-        if self.rejected:
-            losses.append(f"{self.rejected} rejected")
-        if self.timed_out:
-            losses.append(f"{self.timed_out} timed out")
-        if self.abandoned:
-            losses.append(f"{self.abandoned} abandoned")
-        if losses:
-            head += " (" + ", ".join(losses) + ")"
-        try:
-            tail = (f", p50 {self.p50 * 1000:.1f} ms / p99 "
-                    f"{self.p99 * 1000:.1f} ms")
-        except ValueError:
-            return head + ", no completed workflows"
-        if self.slo_seconds is not None:
-            tail += (f", goodput {self.goodput:.1f} wf/s vs SLO "
-                     f"{self.slo_seconds * 1000:.0f} ms "
-                     f"({'met' if self.slo_met else 'MISSED'})")
-        return head + tail
+        return self._with_latency(
+            f"{self.workflow}: {self.completed}/{self.offered} workflows "
+            f"in {self.wall_seconds:.2f} s{self._losses()}",
+            noun="workflows", rate="wf/s")

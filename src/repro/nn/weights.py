@@ -18,12 +18,10 @@ substitution (DESIGN.md §2) is a *statistically calibrated* model:
 from __future__ import annotations
 
 import hashlib
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from repro.errors import GraphError
 from repro.nn.googlenet import feature_blob_name
 from repro.nn.graph import Network
 
@@ -137,45 +135,3 @@ class WeightStore:
             feats.append(captured[feature_blob].reshape(stop - start, -1))
         return np.concatenate(feats, axis=0)
 
-
-def save_weights(net: Network, path: str | Path) -> None:
-    """Write every parameter to an ``.npz`` archive (caffemodel role).
-
-    Keys are ``<layer name>/<role>``; layer names may contain ``/``
-    already (GoogLeNet style), which npz keys tolerate.
-    """
-    arrays = {}
-    for layer in net.layers:
-        for role, arr in layer.params.items():
-            arrays[f"{layer.name}::{role}"] = arr
-    np.savez_compressed(str(path), **arrays)
-
-
-def load_weights(net: Network, path: str | Path,
-                 strict: bool = True) -> None:
-    """Install parameters saved with :func:`save_weights`.
-
-    ``strict=True`` requires an exact match between the archive and
-    the network's parameter slots (missing or extra entries raise).
-    """
-    with np.load(str(path)) as archive:
-        available = set(archive.files)
-        expected = {f"{layer.name}::{role}"
-                    for layer in net.layers
-                    for role in layer.params}
-        if strict:
-            missing = expected - available
-            extra = available - expected
-            if missing or extra:
-                raise GraphError(
-                    f"weight archive mismatch: missing={sorted(missing)[:3]} "
-                    f"extra={sorted(extra)[:3]}")
-        for layer in net.layers:
-            updates = {}
-            for role in layer.params:
-                key = f"{layer.name}::{role}"
-                if key in available:
-                    updates[role] = archive[key]
-            if updates:
-                layer.set_params(**updates)
-    net.invalidate_weight_cache()

@@ -145,6 +145,17 @@ def test_not_comparable_trees_skip_without_running(tmp_path, capsys):
         "not comparable")
 
 
+def test_a_tree_without_git_is_named_by_a_digest_of_its_sources(tmp_path):
+    tree = _tree(tmp_path / "tree", "print(1)\n")
+    (tree / "src").mkdir()
+    (tree / "src" / "mod.py").write_text("x = 1\n")
+    first = perf_gate._commit(tree)
+    assert first is not None and first.startswith("tree-")
+    assert perf_gate._commit(tree) == first
+    (tree / "src" / "mod.py").write_text("x = 2\n")
+    assert perf_gate._commit(tree) != first
+
+
 def test_render_has_one_row_per_workload_and_metric():
     report, _ = gate([run()] * 3)
     lines = perf_gate.render(report).splitlines()

@@ -1,8 +1,15 @@
-"""Tests for ServeResult accounting, the SLO report, and the sweep."""
+"""Tests for ServeResult accounting, the SLO report, and the sweep.
+
+The steady-state SLO statistics are shared by every serving result
+(:class:`repro.serve.slo.SloStats`); the tests of those semantics run
+over a ServeResult, a one-shard ClusterResult and a WorkflowResult.
+"""
 
 import pytest
 
-from repro.errors import FrameworkError
+from repro.cluster.result import ClusterResult, HostShard
+from repro.errors import FlowError, FrameworkError
+from repro.flow.result import WorkflowRequest, WorkflowResult
 from repro.serve import (
     COMPLETED,
     REJECTED,
@@ -13,6 +20,11 @@ from repro.serve import (
     render_sweep_table,
 )
 from repro.serve.sweep import SweepResult
+
+#: The result types sharing the SLO statistics, and what each one's
+#: unanswerable questions raise.
+KINDS = {"serve": FrameworkError, "cluster": FrameworkError,
+         "workflow": FlowError}
 
 
 def _completed_request(i, latency, arrival=0.0):
@@ -27,10 +39,14 @@ def _completed_request(i, latency, arrival=0.0):
     return req
 
 
-def _result(latencies, *, slo=None, wall=1.0, warmup=0, **losses):
+def _result(latencies, *, slo=None, wall=1.0, warmup=0, kind="serve",
+            **losses):
+    """A run whose completed requests took *latencies*, one arrival a
+    second so that completion order (a cluster's warmup order) is
+    arrival order, plus the dropped requests counted in *losses*."""
     from repro.serve import ABANDONED, SHED, TIMED_OUT
 
-    reqs = [_completed_request(i, lat)
+    reqs = [_completed_request(i, lat, arrival=float(i))
             for i, lat in enumerate(latencies)]
     drops = {"shed": 0, "rejected": 0, "timed_out": 0,
              "abandoned": 0}
@@ -43,10 +59,27 @@ def _result(latencies, *, slo=None, wall=1.0, warmup=0, **losses):
                               arrival_time=0.0)
             dropped.status = status_of[field]
             reqs.append(dropped)
-    return ServeResult(
+    if kind == "workflow":
+        flows = [WorkflowRequest(request_id=r.request_id,
+                                 arrival_time=r.arrival_time,
+                                 status=r.status,
+                                 completed_at=r.completed_at)
+                 for r in reqs]
+        return WorkflowResult(
+            workflow="wf", offered=len(reqs),
+            completed=len(latencies), wall_seconds=wall,
+            slo_seconds=slo, requests=flows, warmup=warmup, **drops)
+    serve = ServeResult(
         offered=len(reqs),
         completed=len(latencies), wall_seconds=wall,
-        slo_seconds=slo, requests=reqs, warmup=warmup, **drops)
+        slo_seconds=slo, requests=reqs,
+        warmup=warmup if kind == "serve" else 0, **drops)
+    if kind == "serve":
+        return serve
+    return ClusterResult(
+        offered=len(reqs),
+        shards=[HostShard(rank=1, name="host0", result=serve)],
+        wall_seconds=wall, slo_seconds=slo, warmup=warmup)
 
 
 # -- constructor invariants -------------------------------------------------
@@ -83,13 +116,15 @@ def test_percentiles_and_mean():
     assert r.mean_latency == pytest.approx(0.505)
 
 
-def test_empty_percentiles_raise_value_error():
-    r = _result([], rejected=3)
+@pytest.mark.parametrize("kind", KINDS)
+def test_empty_percentiles_raise_value_error(kind):
+    r = _result([], rejected=3, kind=kind)
     with pytest.raises(ValueError):
         r.latency_percentile(99)
     with pytest.raises(ValueError):
         _ = r.mean_latency
-    assert "no completed requests" in r.summary()
+    noun = "workflows" if kind == "workflow" else "requests"
+    assert r.summary().endswith(f", no completed {noun}")
 
 
 def test_warmup_excludes_cold_start_from_stats():
@@ -101,19 +136,21 @@ def test_warmup_excludes_cold_start_from_stats():
     assert full.p99 > 0.5
 
 
-def test_warmup_trims_attainment_and_goodput_like_percentiles():
+@pytest.mark.parametrize("kind", KINDS)
+def test_warmup_trims_attainment_and_goodput_like_percentiles(kind):
     # Regression: slo_attainment and goodput used to recount every
     # completed request while the percentiles trimmed warmup, so a
     # cold-start outlier dragged attainment below 1.0 even when the
     # reported p99 sat inside the SLO.  All three must judge the same
     # steady-state view.
     r = _result([1.0, 1.0] + [0.010] * 40, slo=0.050, wall=2.0,
-                warmup=2)
+                warmup=2, kind=kind)
     assert r.p99 <= 0.050
     assert r.slo_attainment == pytest.approx(1.0)
     assert r.goodput == pytest.approx(40 / 2.0)
     # Without warmup the outliers count everywhere, consistently.
-    full = _result([1.0, 1.0] + [0.010] * 40, slo=0.050, wall=2.0)
+    full = _result([1.0, 1.0] + [0.010] * 40, slo=0.050, wall=2.0,
+                   kind=kind)
     assert full.slo_attainment == pytest.approx(40 / 42)
     assert full.goodput == pytest.approx(40 / 2.0)
 
@@ -127,24 +164,32 @@ def test_stage_latencies_and_validation():
         r.stage_latencies("transmogrify")
 
 
-def test_throughput_goodput_and_slo():
+@pytest.mark.parametrize("kind", KINDS)
+def test_throughput_goodput_and_slo(kind):
     # 8 fast + 2 slow vs a 50 ms SLO over 2 s of wall time.
-    r = _result([0.010] * 8 + [0.100] * 2, slo=0.050, wall=2.0)
+    r = _result([0.010] * 8 + [0.100] * 2, slo=0.050, wall=2.0,
+                kind=kind)
     assert r.throughput == pytest.approx(5.0)
     assert r.slo_attainment == pytest.approx(0.8)
     assert r.goodput == pytest.approx(4.0)
     assert r.loss_rate == 0.0
     assert not r.slo_met  # p99 rides the 100 ms stragglers
+    idle = _result([0.010], slo=0.050, wall=0.0, kind=kind)
+    for rate in ("throughput", "goodput"):
+        with pytest.raises(KINDS[kind]):
+            getattr(idle, rate)
 
 
-def test_slo_met_requires_no_loss():
-    fast_but_lossy = _result([0.010] * 9, slo=0.050, rejected=1)
+@pytest.mark.parametrize("kind", KINDS)
+def test_slo_met_requires_no_loss(kind):
+    fast_but_lossy = _result([0.010] * 9, slo=0.050, rejected=1,
+                             kind=kind)
     assert fast_but_lossy.p99 < 0.050
     assert not fast_but_lossy.slo_met
-    clean = _result([0.010] * 9, slo=0.050)
+    clean = _result([0.010] * 9, slo=0.050, kind=kind)
     assert clean.slo_met
-    no_slo = _result([0.010])
-    with pytest.raises(FrameworkError):
+    no_slo = _result([0.010], kind=kind)
+    with pytest.raises(KINDS[kind]):
         _ = no_slo.slo_met
 
 

@@ -26,6 +26,7 @@ exits 0 without running anything.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -37,11 +38,11 @@ from pathlib import Path
 CRASHED = {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
 
 
-def _bench_files(tree: Path) -> dict[str, bytes]:
-    """``BENCHMARK.json`` and every source file under ``perfbench/``,
-    by path relative to the tree."""
+def _tree_files(tree: Path, *dirs: str) -> dict[str, bytes]:
+    """``BENCHMARK.json`` and every source file under *dirs*, by path
+    relative to the tree."""
     files = [tree / "BENCHMARK.json"]
-    files += (p for p in (tree / "perfbench").rglob("*")
+    files += (p for d in dirs for p in (tree / d).rglob("*")
               if p.is_file() and "__pycache__" not in p.parts)
     return {str(p.relative_to(tree)): p.read_bytes()
             for p in files if p.exists()}
@@ -49,7 +50,7 @@ def _bench_files(tree: Path) -> dict[str, bytes]:
 
 def not_comparable(base: Path, head: Path) -> str | None:
     """Why the two trees' benchmarks differ, or None when they match."""
-    a, b = _bench_files(base), _bench_files(head)
+    a, b = _tree_files(base, "perfbench"), _tree_files(head, "perfbench")
     differ = sorted(name for name in a.keys() | b.keys()
                     if a.get(name) != b.get(name))
     if not differ:
@@ -156,10 +157,19 @@ def _brief(run: dict) -> str:
                     for name, m in run["metrics"].items()) or "crashed"
 
 
-def _commit(tree: Path) -> str | None:
+def _commit(tree: Path) -> str:
+    """The tree's git revision; for a tree without git history (an
+    export of uncommitted work), ``tree-`` and a digest of its sources
+    so the report still names what was measured."""
     proc = subprocess.run(["git", "-C", str(tree), "describe", "--always",
                            "--dirty"], capture_output=True, text=True)
-    return proc.stdout.strip() or None
+    if proc.stdout.strip():
+        return proc.stdout.strip()
+    digest = hashlib.sha256()
+    for name, data in sorted(
+            _tree_files(tree, "src", "perfbench", "tools").items()):
+        digest.update(f"{name}\0{len(data)}\0".encode() + data)
+    return "tree-" + digest.hexdigest()[:12]
 
 
 def main(argv=None) -> int:
