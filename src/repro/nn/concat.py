@@ -15,6 +15,8 @@ from repro.tensors.layout import BlobShape
 class Concat(Layer):
     """Concatenate bottoms along the channel axis."""
 
+    selects_inputs = True
+
     def __init__(self, name: str, bottoms: Sequence[str],
                  top: str) -> None:
         if len(bottoms) < 2:

@@ -20,6 +20,8 @@ from repro.tensors.layout import BlobShape
 class Dropout(Layer):
     """Inference-mode dropout (identity)."""
 
+    selects_inputs = True
+
     def __init__(self, name: str, bottom: str, top: str, *,
                  dropout_ratio: float = 0.5) -> None:
         super().__init__(name, [bottom], [top])

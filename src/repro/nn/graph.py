@@ -9,7 +9,10 @@ Execution takes a :class:`~repro.numerics.quant.PrecisionPolicy`:
 
 * FP32 — the reference CPU/GPU path; weights and activations untouched.
 * FP16 — the VPU path; weights rounded once (cached), every layer
-  output rounded through binary16 before the next layer reads it.
+  output rounded through binary16 before the next layer reads it —
+  except where the rounding cannot change a value: the output of a
+  layer that only selects among input values already on the binary16
+  grid (max pooling, plain ReLU, Concat, Dropout).
 """
 
 from __future__ import annotations
@@ -256,6 +259,13 @@ class Network:
             x = policy.quantize_activation_array(x)
         blobs: dict[str, np.ndarray] = {self.input_blob: x}
         captured: dict[str, np.ndarray] = {}
+        # Blobs known to hold binary16 values.  A layer that only
+        # selects among its input values (``Layer.selects_inputs``)
+        # keeps its outputs on that grid, so rounding them again is
+        # skipped when every bottom is on it.
+        on_grid: set[str] = ({self.input_blob}
+                             if policy.quantize_input_blob else set())
+        rounds = policy.quantize_activations
         # The plan carries fused Conv+ReLU steps and the blob
         # reference counts that let us free dead activations as we
         # sweep — peak memory stays near the true working set.
@@ -277,9 +287,12 @@ class Network:
                 if saved_params is not None:
                     layer.params = saved_params
             if fused is None:
-                for top, out in zip(layer.tops, outputs):
+                exact = (layer.selects_inputs
+                         and all(b in on_grid for b in bottoms))
+                tops = layer.tops
+                for top, out in zip(tops, outputs):
                     out = np.asarray(out, dtype=np.float32)
-                    if applies:
+                    if applies and not exact:
                         out = policy.quantize_activation_array(out)
                     blobs[top] = out
                     if top in keep:
@@ -291,12 +304,20 @@ class Network:
                 if applies:
                     out = policy.quantize_activation_array(out)
                 np.maximum(out, 0.0, out=out)
-                if policy.applies_to(fused.name):
+                # The ReLU's one bottom is on the grid iff the conv
+                # output was just rounded.
+                exact = fused.selects_inputs and rounds and applies
+                applies = policy.applies_to(fused.name)
+                if applies and not exact:
                     out = policy.quantize_activation_array(out)
-                top = fused.tops[0]
-                blobs[top] = out
-                if top in keep:
-                    captured[top] = out
+                tops = fused.tops
+                blobs[tops[0]] = out
+                if tops[0] in keep:
+                    captured[tops[0]] = out
+            if rounds and (applies or exact):
+                on_grid.update(tops)
+            else:
+                on_grid.difference_update(tops)
             for b in bottoms:
                 left = refcount[b] - 1
                 refcount[b] = left

@@ -58,6 +58,18 @@ class Layer:
         """Caffe-style layer type string (class name by default)."""
         return cls.__name__
 
+    @property
+    def selects_inputs(self) -> bool:
+        """True when every output value is a copy of an input value.
+
+        Such a layer (a max, a concatenation, an identity) cannot move
+        a value off a grid its inputs are on, so the FP16 executor
+        need not round its outputs when every input is already
+        binary16.  Anything that does arithmetic on values is not
+        selecting.
+        """
+        return False
+
     # -- shape inference --------------------------------------------------
     def output_shapes(
             self, input_shapes: Sequence[BlobShape]) -> list[BlobShape]:

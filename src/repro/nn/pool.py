@@ -44,6 +44,12 @@ class Pooling(Layer):
         if global_pooling and pad != 0:
             raise ShapeError(f"{name}: global pooling cannot be padded")
 
+    @property
+    def selects_inputs(self) -> bool:
+        """Max pooling picks a window element (or the -inf pad);
+        average pooling sums and divides."""
+        return self.method is PoolMethod.MAX
+
     def _geometry(self, s: BlobShape) -> tuple[int, int, int]:
         """(kernel_h==kernel_w, stride, pad) resolved for this input."""
         if self.global_pooling:

@@ -23,6 +23,11 @@ class ReLU(Layer):
         super().__init__(name, [bottom], [top])
         self.negative_slope = float(negative_slope)
 
+    @property
+    def selects_inputs(self) -> bool:
+        """Plain ReLU picks ``x`` or 0; a leaky slope multiplies."""
+        return self.negative_slope == 0.0
+
     def output_shapes(
             self, input_shapes: Sequence[BlobShape]) -> list[BlobShape]:
         self._expect_bottoms(input_shapes, 1)

@@ -129,3 +129,77 @@ def test_property_rounding_is_monotone(a, b):
     lo, hi = min(a, b), max(a, b)
     assert float(round_fp16(np.float32(lo))) <= float(
         round_fp16(np.float32(hi)))
+
+
+# -- bit identity with NumPy's binary16 cast ---------------------------------
+
+def _cast_round_trip(x):
+    """The oracle: NumPy's own float32 -> float16 -> float32 casts."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.asarray(x, dtype=np.float32).astype(
+            np.float16).astype(np.float32)
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == np.float32 and got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got.view(np.uint32)[~nan],
+                          want.view(np.uint32)[~nan])
+
+
+@pytest.mark.parametrize("high", [0x000, 0x155, 0x1FF])
+@pytest.mark.parametrize("sign", [0, 1])
+def test_round_fp16_matches_cast_on_every_rounding_pattern(sign, high):
+    # Within a binade, binary16 rounding reads the kept LSB and the 13
+    # bits below it: all 2^14 low-fraction patterns, under every
+    # exponent, with the 9 higher fraction bits clear, mixed and set
+    # (set is where rounding carries into the next binade).
+    low = np.arange(1 << 14, dtype=np.uint32)
+    exponent = np.arange(256, dtype=np.uint32)[:, None] << 23
+    bits = (np.uint32(sign << 31) | exponent | np.uint32(high << 14)
+            | low)
+    x = bits.view(np.float32)
+    _assert_same_bits(round_fp16(x), _cast_round_trip(x))
+
+
+def test_round_fp16_matches_cast_on_special_values():
+    x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                  65504.0, -65504.0, 65519.996, -65519.996,
+                  65520.0, -65520.0, 65536.0, 1e30, -1e30,
+                  np.finfo(np.float32).max, np.finfo(np.float32).tiny,
+                  1e-45, -1e-45], dtype=np.float32)
+    got = round_fp16(x)
+    _assert_same_bits(got, _cast_round_trip(x))
+    assert np.signbit(got[1]) and not np.signbit(got[0])
+    assert list(got[6:12]) == [65504.0, -65504.0, 65504.0, -65504.0,
+                               np.inf, -np.inf]
+
+
+def test_round_fp16_matches_cast_on_subnormal_ties():
+    # k + 1/2 binary16 subnormal steps, ties to even: 0, 2, 2, 4, ...
+    # and the tie at 2^-25 between zero and the smallest subnormal.
+    k = np.arange(0, 1 << 10, dtype=np.float32)
+    ties = (k + np.float32(0.5)) * np.float32(FP16_MIN_SUBNORMAL)
+    x = np.concatenate([ties, -ties])
+    got = round_fp16(x)
+    _assert_same_bits(got, _cast_round_trip(x))
+    steps = got[:4] / np.float32(FP16_MIN_SUBNORMAL)
+    assert list(steps) == [0.0, 2.0, 2.0, 4.0]
+    assert np.signbit(got[1 << 10])  # -2^-25 rounds to -0
+
+
+def test_round_fp16_keeps_0d_and_non_contiguous_inputs():
+    for scalar in (0.0, -0.0, 1.1, 65520.0, np.float32(3.3)):
+        got = round_fp16(np.float32(scalar))
+        assert isinstance(got, np.ndarray) and got.shape == ()
+        _assert_same_bits(got, _cast_round_trip(scalar))
+    base = np.random.default_rng(2).normal(
+        scale=1e3, size=(6, 8, 10)).astype(np.float32)
+    for view in (base[:, ::2, 1::3], base.transpose(2, 0, 1),
+                 base[::-1]):
+        before = base.copy()
+        _assert_same_bits(round_fp16(view), _cast_round_trip(view))
+        assert np.array_equal(base, before)  # input left untouched
+    wide = base.astype(np.float64) * 1.0001
+    _assert_same_bits(round_fp16(wide), _cast_round_trip(wide))

@@ -229,9 +229,21 @@ def test_slo_report_renders_all_sections():
     assert "offered        : 22 requests" in text
     assert "rejected       : 2" in text
     assert "queue wait" in text and "service" in text
-    assert "SLO p99 <= 50 ms : MET" in text
+    # p99 is within the SLO, but two requests were rejected.
+    assert "SLO p99 <= 50 ms : MISSED (p99 10.00 ms" in text
     assert "goodput" in text
     assert "vpu" in text  # per-backend table
+
+
+def test_slo_report_verdict_agrees_with_slo_met():
+    lossy = _result([0.010] * 10, slo=0.05, shed=2)
+    assert "SLO p99 <= 50 ms : MISSED (p99 10.00 ms" in \
+        render_slo_report(lossy)
+    assert not lossy.slo_met and lossy.summary().endswith("(MISSED)")
+    clean = _result([0.010] * 10, slo=0.05)
+    assert "SLO p99 <= 50 ms : MET (p99 10.00 ms" in \
+        render_slo_report(clean)
+    assert clean.slo_met
 
 
 def test_slo_report_is_deterministic():
