@@ -158,8 +158,12 @@ def test_fp16_forward_rounds_only_where_a_value_can_change(monkeypatch):
 
     rounded = []
     real = quant.round_fp16
-    monkeypatch.setattr(quant, "round_fp16",
-                        lambda a: rounded.append(np.shape(a)) or real(a))
+
+    def counting(a):
+        rounded.append(np.shape(a))
+        return real(a)
+
+    monkeypatch.setattr(quant, "round_fp16", counting)
     net = _mixed_net()
     net.forward(np.ones((1, 4, 12, 12), np.float32),
                 PrecisionPolicy.fp16())
