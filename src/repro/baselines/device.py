@@ -135,23 +135,6 @@ class InferenceDevice:
         return self.latency_model.throughput(batch, self.mac_scale)
 
     # -- execution -------------------------------------------------------------
-    def run_batch(self, x: Optional[np.ndarray],
-                  batch: Optional[int] = None) -> Event:
-        """Run one batch as a DES process.
-
-        ``x`` is the NCHW input batch (or None in non-functional
-        timing-only mode, in which case ``batch`` gives the size).
-        The event's value is the softmax output (or None).
-        """
-        if x is None and batch is None:
-            raise SimulationError(
-                "run_batch needs either data or an explicit batch size")
-        n = int(x.shape[0]) if x is not None else int(batch)  # type: ignore[arg-type]
-        if x is not None and batch is not None and batch != n:
-            raise SimulationError(
-                f"batch={batch} disagrees with data batch {n}")
-        return self.env.process(self._run(x, n))
-
     def _run(self, images: Optional[Sequence[np.ndarray]],
              n: int) -> Generator[Event, None, Optional[np.ndarray]]:
         """One batch: its simulated time, then the softmax output of

@@ -24,7 +24,6 @@ class GPUDevice(InferenceDevice):
     #: Board power of the Quadro K4000 (the paper's §V figure).
     tdp_watts = 80.0
     cuda_cores = 768
-    memory_bytes = 3 * 1024 ** 3
     freq_hz = 810e6
 
     def __init__(self, env: Environment, network: Network,
@@ -33,10 +32,3 @@ class GPUDevice(InferenceDevice):
                  jitter: float = 0.0) -> None:
         super().__init__(env, network, latency_model, functional,
                          jitter=jitter)
-
-    def fits_in_memory(self, batch: int) -> bool:
-        """Whether activations + weights of a batch fit the 3 GB card."""
-        weights = self.network.total_param_bytes(4)
-        shapes = self.network.infer_shapes(batch=batch)
-        activations = sum(s.count for s in shapes.values()) * 4
-        return weights + activations <= self.memory_bytes

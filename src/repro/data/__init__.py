@@ -9,7 +9,7 @@ statistically calibrated stand-in (DESIGN.md §2):
 * deterministic class-conditional image synthesis — every class has a
   canonical template, samples are templates plus calibrated noise
   (:mod:`generator`);
-* a validation dataset with annotations and the paper's 5 x 10 000
+* a validation dataset with labels and the paper's 5 x 10 000
   subset split (:mod:`ilsvrc`);
 * a simulated JPEG decode stage and the Caffe-style preprocessing
   pipeline (resize, mean subtraction, FP16 conversion)
@@ -22,7 +22,6 @@ from repro.data.generator import ImageSynthesizer
 from repro.data.ilsvrc import (
     ILSVRCValidation,
     ImageRecord,
-    ValidationAnnotation,
 )
 from repro.data.decode import JPEGDecoder
 from repro.data.preprocess import Preprocessor
@@ -34,7 +33,6 @@ __all__ = [
     "ImageSynthesizer",
     "ILSVRCValidation",
     "ImageRecord",
-    "ValidationAnnotation",
     "JPEGDecoder",
     "Preprocessor",
     "calibrate_noise",

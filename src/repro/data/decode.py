@@ -28,11 +28,6 @@ class DecodeStats:
     images: int
     seconds: float
 
-    @property
-    def ms_per_image(self) -> float:
-        """Mean simulated decode cost per image, in milliseconds."""
-        return 1000.0 * self.seconds / self.images if self.images else 0.0
-
 
 class JPEGDecoder:
     """Produces pixels for an image record and accounts decode time.
@@ -74,8 +69,3 @@ class JPEGDecoder:
     def stats(self) -> DecodeStats:
         """Decode cost accrued so far (excluded from reported timings)."""
         return DecodeStats(self._images, self._seconds)
-
-    def reset_stats(self) -> None:
-        """Zero the accumulated decode-cost counters."""
-        self._images = 0
-        self._seconds = 0.0

@@ -32,29 +32,6 @@ class ImageRecord:
     wnid: str
 
 
-@dataclass(frozen=True)
-class ValidationAnnotation:
-    """Bounding-box annotation record (label oracle, like the paper's).
-
-    The bbox marks the region the template's grating dominates; the
-    classification experiments only consume the label, as the paper
-    does for its top-1 estimation.
-    """
-
-    image_id: int
-    wnid: str
-    xmin: int
-    ymin: int
-    xmax: int
-    ymax: int
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.xmin < self.xmax and 0 <= self.ymin < self.ymax):
-            raise DatasetError(
-                f"invalid bbox ({self.xmin},{self.ymin})-"
-                f"({self.xmax},{self.ymax})")
-
-
 class ILSVRCValidation:
     """The synthetic validation dataset.
 
@@ -121,19 +98,6 @@ class ILSVRCValidation:
         rec = self.record(image_id)
         return self.synthesizer.sample(rec.label, rec.image_id)
 
-    def annotation(self, image_id: int) -> ValidationAnnotation:
-        """Bounding-box annotation for *image_id*."""
-        rec = self.record(image_id)
-        rng = _rng_for(self.seed, "bbox", image_id)
-        size = self.synthesizer.size
-        w = int(rng.integers(size // 4, size // 2 + 1))
-        h = int(rng.integers(size // 4, size // 2 + 1))
-        x = int(rng.integers(0, size - w))
-        y = int(rng.integers(0, size - h))
-        return ValidationAnnotation(
-            image_id=image_id, wnid=rec.wnid,
-            xmin=x, ymin=y, xmax=x + w, ymax=y + h)
-
     # -- subsets -------------------------------------------------------------
     @property
     def num_subsets(self) -> int:
@@ -161,7 +125,3 @@ class ILSVRCValidation:
             ids = ids[:limit]
         for image_id in ids:
             yield self.record(image_id)
-
-    def labels_for(self, records: Sequence[ImageRecord]) -> np.ndarray:
-        """Ground-truth label vector for a list of records."""
-        return np.array([r.label for r in records], dtype=np.int64)

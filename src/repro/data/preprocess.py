@@ -4,7 +4,8 @@ The paper's NCSw framework decodes images with OpenCV, resizes them to
 the network's input geometry (224 x 224 for GoogLeNet), subtracts the
 ILSVRC 2012 training-set channel means, and — for the VPU path —
 converts the pixels to FP16 with OpenEXR's ``half`` (paper §III).
-:class:`Preprocessor` reproduces that pipeline on uint8 HWC inputs.
+:class:`Preprocessor` reproduces that pipeline on uint8 HWC inputs up
+to the FP16 step, which the VPU's precision policy applies.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import DatasetError
-from repro.numerics.half import to_half
 
 #: BGR channel means of the ILSVRC 2012 training set, as shipped with
 #: Caffe's GoogLeNet (values in 8-bit counts). The synthetic dataset is
@@ -85,12 +85,3 @@ class Preprocessor:
         if not imgs:
             raise DatasetError("empty batch")
         return np.stack([self(im) for im in imgs])
-
-    def to_fp16_payload(self, chw: np.ndarray) -> np.ndarray:
-        """FP32 -> FP16 conversion for the VPU path (OpenEXR analogue).
-
-        This is the actual tensor sent over USB to the NCS: half the
-        bytes of the FP32 blob, which the USB transfer model accounts
-        for.
-        """
-        return to_half(chw)

@@ -92,7 +92,6 @@ class SynsetVocabulary:
                 category=category,
             )
             self._synsets.append(synset)
-        self._by_wnid = {s.wnid: s for s in self._synsets}
 
     def __len__(self) -> int:
         return self.num_classes
@@ -103,13 +102,6 @@ class SynsetVocabulary:
                 f"class index {index} out of range "
                 f"[0, {self.num_classes})")
         return self._synsets[index]
-
-    def by_wnid(self, wnid: str) -> Synset:
-        """Look up a synset by its WordNet ID."""
-        try:
-            return self._by_wnid[wnid]
-        except KeyError:
-            raise DatasetError(f"unknown wnid {wnid!r}") from None
 
     def __iter__(self):
         return iter(self._synsets)

@@ -67,12 +67,6 @@ class DeviceClosed(NCAPIError):
     status = "MVNC_INVALID_HANDLE"
 
 
-class NoData(NCAPIError):
-    """``get_result`` called with no inference in flight."""
-
-    status = "MVNC_NO_DATA"
-
-
 class DeviceLost(NCAPIError):
     """The device died mid-run (hot-unplug, firmware crash)."""
 

@@ -105,13 +105,11 @@ def _decode_label(num_classes: int, floor: float = 0.5):
     return decode
 
 
-def _crop_detections(max_crops: int):
-    """Fan-out fn: top-K detections become K classify sub-items."""
-    def crop(item: Item, rng: np.random.Generator) -> list[Item]:
-        boxes = item.data or []
-        return [Item(data=box, tensor=item.tensor)
-                for box in boxes[:max_crops]]
-    return crop
+def _crop_detections(item: Item, rng: np.random.Generator) -> list[Item]:
+    """Fan-out fn: the top three detections become classify
+    sub-items."""
+    boxes = item.data or []
+    return [Item(data=box, tensor=item.tensor) for box in boxes[:3]]
 
 
 def _aggregate_labels(votes: list) -> Any:
@@ -136,7 +134,6 @@ def _majority_vote(votes: list) -> Any:
 
 # -- built-in workflows -------------------------------------------------
 def cascade_workflow(scale: str = "micro", *, vpu_devices: int = 4,
-                     max_crops: int = 3,
                      stage_slo_seconds: Optional[float] = None
                      ) -> CompiledWorkflow:
     """detect → crop (fan-out) → classify → aggregate (join)."""
@@ -151,7 +148,7 @@ def cascade_workflow(scale: str = "micro", *, vpu_devices: int = 4,
                                             det_cfg.input_size),
                   produces="detections",
                   slo_seconds=stage_slo_seconds),
-        FanOutStep("crop", fn=_crop_detections(max_crops),
+        FanOutStep("crop", fn=_crop_detections,
                    consumes=("detections",), produces="crop"),
         InferStep("classify", targets=_cpu_targets(cfg["classify"]),
                   decode=_decode_label(cfg["classes"]),
@@ -190,22 +187,18 @@ def ensemble_workflow(scale: str = "micro", *, vpu_devices: int = 4
     return compile_workflow(spec)
 
 
-def escalation_workflow(scale: str = "micro", *,
-                        vpu_devices: int = 4,
-                        threshold: float = 0.8) -> CompiledWorkflow:
-    """FP16 VPU classify; low confidence escalates to FP32 CPU.
+def escalation_workflow(scale: str = "micro", *, vpu_devices: int = 4
+                        ) -> CompiledWorkflow:
+    """FP16 VPU classify; confidence below 0.8 escalates to FP32 CPU.
 
     The sticks run FP16 natively and the Caffe hosts FP32 (paper
     §II); the branch turns that precision split into a conditional
     pipeline: accept confident FP16 answers, re-run the rest at FP32.
     """
-    if not 0.0 < threshold < 1.0:
-        raise FlowError(
-            f"threshold must be in (0, 1), got {threshold}")
     cfg = _scale(scale)
 
     def gate(data: Any) -> str:
-        return ("accept" if data["confidence"] >= threshold
+        return ("accept" if data["confidence"] >= 0.8
                 else "classify-fp32")
 
     spec = WorkflowSpec(f"escalate-{scale}")

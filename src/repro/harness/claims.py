@@ -42,14 +42,6 @@ class ClaimResult:
     measured: float
     passed: bool
 
-    @property
-    def deviation(self) -> float:
-        """Relative deviation of the measurement from the paper."""
-        if self.claim.paper_value == 0:
-            return float("inf")
-        return abs(self.measured - self.claim.paper_value) / abs(
-            self.claim.paper_value)
-
 
 CLAIMS: list[Claim] = [
     Claim("vpu-single-latency", "§IV-A",

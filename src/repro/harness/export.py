@@ -11,8 +11,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from repro.errors import ReproError
-from repro.harness.figures import FigureResult, Series
+from repro.harness.figures import FigureResult
 
 
 def figure_to_dict(result: FigureResult) -> dict[str, Any]:
@@ -37,52 +36,10 @@ def figure_to_dict(result: FigureResult) -> dict[str, Any]:
     }
 
 
-def figure_from_dict(data: dict[str, Any]) -> FigureResult:
-    """Rebuild a FigureResult from :func:`figure_to_dict` output."""
-    try:
-        result = FigureResult(
-            figure_id=data["figure_id"],
-            title=data["title"],
-            xlabel=data["xlabel"],
-            ylabel=data["ylabel"],
-            scale=data.get("scale", "paper-timing"),
-            notes=data.get("notes", ""),
-            paper_reference={
-                k: (tuple(v) if isinstance(v, list) else v)
-                for k, v in data.get("paper_reference", {}).items()},
-        )
-        for s in data["series"]:
-            result.series.append(Series(
-                label=s["label"],
-                x=tuple(s["x"]),
-                y=tuple(s["y"]),
-                yerr=tuple(s["yerr"]) if s.get("yerr") else None))
-    except KeyError as exc:
-        raise ReproError(f"malformed figure JSON: missing {exc}") from exc
-    return result
-
-
 def save_figure_json(result: FigureResult, path: str | Path) -> None:
     """Write a figure result to a JSON file."""
     Path(path).write_text(
         json.dumps(figure_to_dict(result), indent=2) + "\n")
-
-
-def load_figure_json(path: str | Path) -> FigureResult:
-    """Read a figure result written by :func:`save_figure_json`."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ReproError(f"corrupt figure JSON {path}: {exc}") from exc
-    return figure_from_dict(data)
-
-
-def comparison_to_dict(rows: list[tuple[str, float, float]]
-                       ) -> list[dict[str, float | str]]:
-    """JSON-safe form of a (metric, paper, measured) table."""
-    return [{"metric": m, "paper": float(p), "measured": float(v),
-             "ratio": float(v / p) if p else None}
-            for m, p, v in rows]
 
 
 def save_trace_json(session: Any, path: str | Path) -> Path:

@@ -73,8 +73,7 @@ class GemmPlan:
 
 def plan_gemm(m: int, n: int, k: int, *,
               bytes_per_element: int = 2,
-              shaves: int = 12,
-              cmx_slice_bytes: int = int(CMX_SLICE_BYTES)) -> GemmPlan:
+              shaves: int = 12) -> GemmPlan:
     """Choose the largest square tile whose (A,B,C) set fits a slice.
 
     Each SHAVE works out of its affinity slice (the Ionica design), so
@@ -84,7 +83,7 @@ def plan_gemm(m: int, n: int, k: int, *,
         raise CompileError("GEMM dimensions must be >= 1")
     if shaves < 1:
         raise CompileError("shaves must be >= 1")
-    budget = cmx_slice_bytes // 2
+    budget = int(CMX_SLICE_BYTES) // 2
     # 3 tiles of t*t elements must fit: t = sqrt(budget / (3*e)).
     t = int(np.sqrt(budget / (3 * bytes_per_element)))
     t = max(8, min(t, m, n, k))

@@ -20,7 +20,7 @@ from repro.ncs.usb import USBLink, USBTopology, paper_testbed_topology
 from repro.ncs.firmware import FirmwareImage, DEFAULT_FIRMWARE
 from repro.ncs.device import NCSDevice
 from repro.ncs.ncapi import NCAPI, DeviceHandle, GraphHandle
-from repro.ncs.enumeration import enumerate_devices, live_devices
+from repro.ncs.enumeration import enumerate_devices
 from repro.ncs.health import HealthMonitor, HealthTransition
 from repro.ncs.thermal import ThermalConfig, ThermalModel
 from repro.ncs.session import SyncSession
@@ -36,7 +36,6 @@ __all__ = [
     "DeviceHandle",
     "GraphHandle",
     "enumerate_devices",
-    "live_devices",
     "HealthMonitor",
     "HealthTransition",
     "ThermalConfig",

@@ -67,7 +67,6 @@ class _Inference:
     submitted_at: float = 0.0
     started_at: float = 0.0
     finished_at: float = 0.0
-    per_layer: Optional[dict[str, float]] = None
     #: The wave computing this inference's functional result (None on
     #: timing-only devices and tensor-less submissions).
     wave: Optional["ForwardWave"] = None
@@ -171,9 +170,6 @@ class NCSDevice:
         #: enumerate_devices` shares one mapping across a bus's sticks.
         self.waves: dict[int, ForwardWave] = {}
         self.inference_times: list[float] = []
-        #: Per-layer seconds of the most recent inference (the NCAPI
-        #: GetGraphOption(TIME_TAKEN) payload).
-        self.last_per_layer: Optional[dict[str, float]] = None
         #: Optional thermal model; when set, sustained load heats the
         #: stick and throttles the media clock (see ncs.thermal).
         self.thermal = thermal
@@ -385,16 +381,6 @@ class NCSDevice:
         self._emit("graph_allocated", graph=graph.name,
                    nbytes=blob_bytes)
 
-    def deallocate_graph(self) -> None:
-        """Release the resident graph."""
-        self._check_open()
-        if self._graph is None:
-            raise NCAPIError(f"{self.device_id}: no graph allocated")
-        assert self._graph_handle is not None
-        self.chip.deallocate_graph(self._graph_handle)
-        self._graph = None
-        self._graph_handle = None
-
     @property
     def graph(self) -> Optional[CompiledGraph]:
         """The currently resident compiled graph, if any."""
@@ -469,7 +455,7 @@ class NCSDevice:
                         obs.tracer.end(span)
                     self.mark_dead("thermal", "over-temperature")
                     return
-            per_layer = yield from self.chip.run_inference(graph)
+            yield from self.chip.run_inference(graph)
             if self.thermal is not None:
                 scale = self.thermal.frequency_scale()
                 if scale < 1.0:
@@ -491,8 +477,6 @@ class NCSDevice:
                 if factor > 1.0:
                     elapsed = self.env.now - item.started_at
                     yield self.env.timeout(elapsed * (factor - 1.0))
-            item.per_layer = per_layer
-            self.last_per_layer = per_layer
             if item.wave is None:
                 item.result = np.zeros(
                     (graph.output_shape.c, graph.output_shape.h,

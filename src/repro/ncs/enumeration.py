@@ -7,7 +7,7 @@ topology.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.errors import DeviceNotFound
 from repro.ncs.device import NCSDevice
@@ -39,13 +39,3 @@ def enumerate_devices(env: Environment, topology: USBTopology,
     for device in devices:
         device.waves = waves
     return devices
-
-
-def live_devices(devices: Iterable[NCSDevice]) -> list[NCSDevice]:
-    """Filter to sticks that are still alive.
-
-    Re-enumeration after a mid-run failure: hot-unplugged, hung-and
-    -killed, or thermally shut-down sticks drop out of the list, like
-    ``mvncGetDeviceName`` no longer finding a yanked device.
-    """
-    return [d for d in devices if not d.dead]

@@ -4,7 +4,7 @@ At fleet scale the paper's silent assumption — every stick stays
 healthy for all 50 000 images — breaks down: sticks die, firmware
 hangs, fanless enclosures cook.  The :class:`HealthMonitor` is the
 host-side book-keeper of that reality: one status per device
-(``healthy`` → ``suspect`` → ``dead``) with a timestamped transition
+(``healthy`` → ``dead``) with a timestamped transition
 trail, driven by the fault-tolerant
 :class:`~repro.ncsw.scheduler.MultiVPUScheduler` and consumed by the
 degraded-mode accounting in run results and the utilisation report.
@@ -17,13 +17,11 @@ from dataclasses import dataclass
 from repro.errors import NCAPIError
 from repro.sim.core import Environment
 
-#: Device states.  ``suspect`` marks a device whose call deadline
-#: expired (hung firmware presumed) before it is written off.
+#: Device states.
 HEALTHY = "healthy"
-SUSPECT = "suspect"
 DEAD = "dead"
 
-_STATES = (HEALTHY, SUSPECT, DEAD)
+_STATES = (HEALTHY, DEAD)
 
 
 @dataclass(frozen=True)
@@ -64,9 +62,9 @@ class HealthMonitor:
              reason: str = "") -> None:
         """Transition *device_id* to *status*, recording it.
 
-        Dead is terminal: a dead device never becomes healthy or
-        suspect again.  Same-state marks are no-ops (no duplicate
-        transitions in the trail).
+        Dead is terminal: a dead device never becomes healthy again.
+        Same-state marks are no-ops (no duplicate transitions in the
+        trail).
         """
         if status not in _STATES:
             raise NCAPIError(f"unknown health status {status!r}")
@@ -79,10 +77,6 @@ class HealthMonitor:
         self.transitions.append(HealthTransition(
             device=device_id, status=status, time=self.env.now,
             reason=reason))
-
-    def mark_suspect(self, device_id: str, reason: str = "") -> None:
-        """Flag a device whose call deadline expired."""
-        self.mark(device_id, SUSPECT, reason)
 
     def mark_dead(self, device_id: str, reason: str = "") -> None:
         """Write a device off permanently."""
@@ -99,15 +93,3 @@ class HealthMonitor:
     def dead(self) -> list[str]:
         """Devices written off, in registration order."""
         return [d for d, s in self._status.items() if s == DEAD]
-
-    def live_count(self) -> int:
-        """Number of devices not yet written off.
-
-        The cluster frontend's quorum check: re-sharding after a host
-        death is only possible while this stays positive.
-        """
-        return sum(1 for s in self._status.values() if s != DEAD)
-
-    def dead_count(self) -> int:
-        """Number of devices written off."""
-        return sum(1 for s in self._status.values() if s == DEAD)

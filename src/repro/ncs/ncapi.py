@@ -37,7 +37,6 @@ class GraphHandle:
     def __init__(self, device: NCSDevice, graph: CompiledGraph) -> None:
         self._device = device
         self._graph = graph
-        self._deallocated = False
 
     @property
     def name(self) -> str:
@@ -79,7 +78,6 @@ class GraphHandle:
         FIFO back-pressure on a healthy device also counts against
         the deadline, so pick timeouts well above one inference.
         """
-        self._check()
         return self._device.env.process(
             self.load_tensor_inline(tensor, user, timeout))
 
@@ -91,7 +89,6 @@ class GraphHandle:
         with :class:`DeviceTimeout` instead of blocking forever — the
         only way to detect a hung firmware.
         """
-        self._check()
         return self._device.env.process(self.get_result_inline(timeout))
 
     def load_tensor_inline(self, tensor: Optional[np.ndarray],
@@ -102,7 +99,6 @@ class GraphHandle:
         call at once: a generator it runs with ``yield from``, so the
         device transfer runs in the caller instead of in a process of
         its own (a *timeout* still races one)."""
-        self._check()
         return (yield from self._call(
             "load_tensor", self._device.submit(tensor, user), timeout))
 
@@ -110,7 +106,6 @@ class GraphHandle:
                           ) -> Generator[Event, None, tuple]:
         """:meth:`get_result` run inline in the waiting host process
         (see :meth:`load_tensor_inline`)."""
-        self._check()
         return (yield from self._call(
             "get_result", self._device.collect(), timeout))
 
@@ -173,24 +168,6 @@ class GraphHandle:
         """Per-inference device execution times so far, in seconds."""
         return list(self._device.inference_times)
 
-    def layer_times(self) -> dict[str, float]:
-        """Per-layer seconds of the most recent inference.
-
-        The ``GetGraphOption(TIME_TAKEN)`` payload of the NCSDK; empty
-        before the first inference completes.
-        """
-        return dict(self._device.last_per_layer or {})
-
-    def deallocate(self) -> None:
-        """Release the graph (``mvncDeallocateGraph``)."""
-        self._check()
-        self._device.deallocate_graph()
-        self._deallocated = True
-
-    def _check(self) -> None:
-        if self._deallocated:
-            raise NCAPIError("graph handle has been deallocated")
-
 
 class DeviceHandle:
     """Handle to an opened NCS device (``mvncDevice``)."""
@@ -244,10 +221,6 @@ class NCAPI:
             env, topology, firmware=firmware, chip_config=chip_config,
             functional=functional, trace=trace)
 
-    def device_names(self) -> list[str]:
-        """IDs of every attached stick (``mvncGetDeviceName`` loop)."""
-        return [d.device_id for d in self._devices]
-
     def open_device(self, index: int) -> Event:
         """Boot device *index*; event value is a :class:`DeviceHandle`."""
         if not 0 <= index < len(self._devices):
@@ -266,9 +239,3 @@ class NCAPI:
     def devices(self) -> list[NCSDevice]:
         """Raw device objects (for tests and instrumentation)."""
         return list(self._devices)
-
-    def live_devices(self) -> list[NCSDevice]:
-        """Devices still healthy (not dead / hot-unplugged)."""
-        from repro.ncs.enumeration import live_devices
-
-        return live_devices(self._devices)

@@ -71,16 +71,6 @@ class ThermalModel:
         self.throttle_events = 0
 
     @property
-    def temperature_c(self) -> float:
-        """Current stick temperature in degrees Celsius."""
-        return self._temp
-
-    @property
-    def throttled(self) -> bool:
-        """Whether the firmware is currently holding the clock down."""
-        return self._throttled
-
-    @property
     def shut_down(self) -> bool:
         """Whether the over-temperature cut-off has tripped (latched)."""
         return self._shut_down
@@ -136,8 +126,3 @@ class ThermalModel:
     def frequency_scale(self) -> float:
         """Current media-clock multiplier (1.0 when cool)."""
         return self.config.throttle_scale if self._throttled else 1.0
-
-    def steady_state_c(self, power_w: float) -> float:
-        """Equilibrium temperature at a sustained power draw."""
-        return (self.config.ambient_c
-                + power_w * self.config.resistance_c_per_w)

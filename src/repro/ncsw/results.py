@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 from repro.errors import FrameworkError
 from repro.numerics.stats import RunningStats
 
@@ -26,9 +24,6 @@ class InferenceRecord:
     device: str
     t_submit: float
     t_complete: float
-    #: Top-k predicted labels, most confident first (k=5 by default;
-    #: the paper uses top-1 but GoogLeNet is usually judged on both).
-    topk: Optional[tuple[int, ...]] = None
 
     @property
     def latency(self) -> float:
@@ -41,13 +36,6 @@ class InferenceRecord:
         if self.label is None or self.predicted is None:
             return None
         return self.label == self.predicted
-
-    def correct_topk(self, k: int = 5) -> Optional[bool]:
-        """Whether the label appears in the top-k predictions."""
-        if self.label is None or self.topk is None:
-            return None
-        return self.label in self.topk[:k]
-
 
 @dataclass
 class RunResult:
@@ -117,46 +105,11 @@ class RunResult:
         wrong = sum(1 for r in scored if not r.correct)
         return wrong / len(scored)
 
-    def topk_error(self, k: int = 5) -> float:
-        """Fraction of labelled images missing from the top-k set."""
-        scored = [r for r in self.records
-                  if r.correct_topk(k) is not None]
-        if not scored:
-            raise FrameworkError(
-                "no top-k predictions recorded for this run")
-        wrong = sum(1 for r in scored if not r.correct_topk(k))
-        return wrong / len(scored)
-
-    def confidences(self) -> np.ndarray:
-        """Confidence values of correctly-predicted images."""
-        return np.array([r.confidence for r in self.records
-                         if r.correct and r.confidence is not None])
-
     def latency_stats(self) -> RunningStats:
         """Distribution of per-image submit-to-complete latency."""
         stats = RunningStats()
         stats.extend(r.latency for r in self.records)
         return stats
-
-    def confusion_matrix(self, num_classes: int) -> np.ndarray:
-        """(num_classes, num_classes) count matrix: [truth, predicted].
-
-        Only labelled, predicted records contribute; the diagonal sums
-        to the top-1 hit count.
-        """
-        if num_classes < 1:
-            raise FrameworkError("num_classes must be >= 1")
-        matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-        for r in self.records:
-            if r.label is None or r.predicted is None:
-                continue
-            if not (0 <= r.label < num_classes
-                    and 0 <= r.predicted < num_classes):
-                raise FrameworkError(
-                    f"record labels ({r.label}, {r.predicted}) exceed "
-                    f"num_classes {num_classes}")
-            matrix[r.label, r.predicted] += 1
-        return matrix
 
     def per_device_counts(self) -> dict[str, int]:
         """Images handled by each device (round-robin balance check)."""

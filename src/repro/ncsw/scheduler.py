@@ -354,14 +354,10 @@ class MultiVPUScheduler:
                 device: str, t_submit: float) -> None:
         predicted: Optional[int] = None
         confidence: Optional[float] = None
-        topk: Optional[tuple[int, ...]] = None
         if result is not None and item.tensor is not None:
             flat = np.asarray(result, dtype=np.float32).ravel()
             predicted = int(flat.argmax())
             confidence = float(flat[predicted])
-            k = min(5, flat.size)
-            order = np.argpartition(flat, -k)[-k:]
-            topk = tuple(int(i) for i in order[np.argsort(-flat[order])])
         self.records.append(InferenceRecord(
             index=item.index,
             image_id=item.image_id,
@@ -371,7 +367,6 @@ class MultiVPUScheduler:
             device=device,
             t_submit=t_submit,
             t_complete=self.env.now,
-            topk=topk,
         ))
         obs = self.env.obs
         if obs is not None and item.trace is not None:

@@ -38,17 +38,14 @@ def record_from_probs(item: WorkItem, flat: Optional[np.ndarray],
     the host targets and the split-execution target so every backend
     reports predictions identically.
     """
-    predicted = confidence = topk = None
+    predicted = confidence = None
     if flat is not None:
         predicted = int(flat.argmax())
         confidence = float(flat[predicted])
-        k = min(5, flat.size)
-        order = np.argpartition(flat, -k)[-k:]
-        topk = tuple(int(i) for i in order[np.argsort(-flat[order])])
     return InferenceRecord(
         index=item.index, image_id=item.image_id, label=item.label,
         predicted=predicted, confidence=confidence, device=device,
-        t_submit=t_submit, t_complete=t_complete, topk=topk)
+        t_submit=t_submit, t_complete=t_complete)
 
 
 class TargetDevice:
@@ -75,11 +72,6 @@ class TargetDevice:
         """Process a batch inline (a generator body the waiting caller
         runs with ``yield from``); returns the list of records."""
         raise NotImplementedError
-
-    @property
-    def device_count(self) -> int:
-        """Number of physical devices this target drives."""
-        return 1
 
     @property
     def alive(self) -> bool:
@@ -252,10 +244,6 @@ class IntelVPU(TargetDevice):
         return DEFAULT_TDP.watts("ncs", self.num_devices)
 
     @property
-    def device_count(self) -> int:
-        return self.num_devices
-
-    @property
     def alive(self) -> bool:
         """True while at least one stick can still take work."""
         if self._env is None:
@@ -267,11 +255,6 @@ class IntelVPU(TargetDevice):
         """One image per stick: the scheduler deals a batch across the
         devices, so a larger batch only queues behind itself."""
         return self.num_devices
-
-    @property
-    def compiled_graph(self) -> CompiledGraph:
-        """The compiled graph resident on every stick."""
-        return self._graph
 
     def fault_stats(self) -> FaultStats:
         """Failures/reassignments/abandonments over the whole run."""

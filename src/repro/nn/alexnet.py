@@ -121,8 +121,3 @@ def build_alexnet(config: AlexNetConfig | None = None) -> Network:
 
     net.validate()
     return net
-
-
-def alexnet_feature_blob() -> str:
-    """Blob holding the pre-classifier features (after drop7)."""
-    return "fc7"

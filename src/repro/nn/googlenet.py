@@ -72,12 +72,6 @@ class GoogLeNetConfig:
         """Scale a channel count by the width multiplier (min 1)."""
         return max(1, round(base * self.width))
 
-    @property
-    def paper_scale(self) -> bool:
-        """True when this is the exact geometry the paper used."""
-        return (self.num_classes == 1000 and self.input_size == 224
-                and self.width == 1.0)
-
 
 def _conv_relu(net: Network, name: str, bottom: str, *, num_output: int,
                kernel: int, in_channels: int, stride: int = 1,

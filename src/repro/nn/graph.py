@@ -123,8 +123,8 @@ class Network:
 
         ``bytes_per_element`` sets the storage precision the byte
         columns are quoted at (4 for FP32 hosts, 2 for the FP16 VPU
-        tier), so ``sum(c.param_bytes ...)`` always agrees with
-        :meth:`total_param_bytes` at the same precision.
+        tier), so ``sum(c.param_bytes ...)`` always agrees with the
+        layers' own ``param_bytes`` at the same precision.
         """
         shapes = self.infer_shapes(batch)
         costs = []
@@ -143,10 +143,6 @@ class Network:
     def total_macs(self, batch: int = 1) -> int:
         """Total multiply-accumulates for one forward pass."""
         return sum(c.macs for c in self.layer_costs(batch))
-
-    def total_param_bytes(self, bytes_per_element: int = 4) -> int:
-        """Total parameter storage at the given precision."""
-        return sum(l.param_bytes(bytes_per_element) for l in self.layers)
 
     # -- execution ------------------------------------------------------------
     def _params_for(self, layer: Layer,

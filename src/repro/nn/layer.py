@@ -9,7 +9,7 @@ VPU graph compiler and the device timing models consume.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -122,10 +122,3 @@ class Layer:
     def __repr__(self) -> str:
         return (f"<{self.type_name()} {self.name!r} "
                 f"{self.bottoms}->{self.tops}>")
-
-
-def quantized_params(layer: Layer,
-                     quantize: Callable[[np.ndarray], np.ndarray]
-                     ) -> dict[str, np.ndarray]:
-    """Apply a quantisation function to every parameter of *layer*."""
-    return {role: quantize(arr) for role, arr in layer.params.items()}

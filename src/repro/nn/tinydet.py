@@ -10,16 +10,14 @@ tuples.  It compiles through the VPU compiler like any zoo model, so a
 detection stage costs realistic simulated time, and it is cheap enough
 that a cascade's first phase never dwarfs its second.
 
-Determinism contract: :func:`decode_detections` is a pure function of
-the network output, and :func:`seeded_detections` draws boxes from a
-caller-supplied seeded RNG — either way, the same inputs always yield
-the same boxes and scores, which is what makes workflow runs replay
+Determinism contract: :func:`seeded_detections` draws boxes from a
+caller-supplied seeded RNG, so the same inputs always yield the same
+boxes and scores, which is what makes workflow runs replay
 byte-identically.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,65 +98,14 @@ def build_tinydet(config: TinyDetConfig | None = None) -> Network:
     return net
 
 
-def tinydet_feature_blob() -> str:
-    """Blob holding the pre-head features (after pool2)."""
-    return "pool2"
-
-
-def _squash(v: float) -> float:
-    """Numerically stable logistic squash onto (0, 1)."""
-    if v >= 0:
-        return 1.0 / (1.0 + math.exp(-v))
-    e = math.exp(v)
-    return e / (1.0 + e)
-
-
-def decode_detections(output: np.ndarray, input_size: int,
-                      min_score: float = 0.0) -> list[Detection]:
-    """Decode a TinyDet head output into candidate boxes.
-
-    ``output`` is the flat ``det_head`` activation (``5 * num_boxes``
-    values).  Each quintuple maps through a logistic squash onto the
-    input square: centre and size are fractions of ``input_size``
-    (size floored at 1/8th of the frame so crops never degenerate),
-    and the fifth value is the confidence score.  Boxes are returned
-    sorted by descending score, ties by decoded order, and boxes
-    scoring below ``min_score`` are dropped.
-    """
-    flat = np.asarray(output).ravel()
-    if flat.size % BOX_FIELDS != 0:
-        raise GraphError(
-            f"detection output length {flat.size} is not a multiple "
-            f"of {BOX_FIELDS}")
-    boxes: list[Detection] = []
-    for i in range(flat.size // BOX_FIELDS):
-        cx, cy, w, h, raw = (float(v)
-                             for v in flat[i * BOX_FIELDS:
-                                           (i + 1) * BOX_FIELDS])
-        score = _squash(raw)
-        if score < min_score:
-            continue
-        bw = (0.125 + 0.875 * _squash(w)) * input_size
-        bh = (0.125 + 0.875 * _squash(h)) * input_size
-        x = _squash(cx) * input_size - bw / 2.0
-        y = _squash(cy) * input_size - bh / 2.0
-        boxes.append(Detection(
-            x=max(0.0, min(x, input_size - bw)),
-            y=max(0.0, min(y, input_size - bh)),
-            w=bw, h=bh, score=score))
-    boxes.sort(key=lambda b: (-b.score, b.x, b.y))
-    return boxes
-
-
 def seeded_detections(rng: np.random.Generator, num_boxes: int,
                       input_size: int) -> list[Detection]:
     """Draw a deterministic detection set from a seeded RNG.
 
     The timing-only oracle for workflow runs whose backends skip real
     inference: between 1 and ``num_boxes`` boxes, geometry and scores
-    drawn from ``rng``, sorted by descending score like
-    :func:`decode_detections`.  The same RNG state always yields the
-    same boxes.
+    drawn from ``rng``, sorted by descending score.  The same RNG
+    state always yields the same boxes.
     """
     if num_boxes < 1:
         raise GraphError(f"num_boxes must be >= 1, got {num_boxes}")

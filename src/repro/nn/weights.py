@@ -85,7 +85,7 @@ class WeightStore:
         class *c* (the noise-free centre of that class's image
         distribution — see :mod:`repro.data.generator`).
         ``feature_blob`` names the pre-classifier blob (defaults to
-        GoogLeNet's; pass ``alexnet_feature_blob()`` for AlexNet).
+        GoogLeNet's; pass the zoo entry's ``feature_blob`` for AlexNet).
         """
         initialize_network(net, seed=self.seed)
         feats = self._template_features(
@@ -134,4 +134,3 @@ class WeightStore:
                 imgs, capture=[feature_blob])
             feats.append(captured[feature_blob].reshape(stop - start, -1))
         return np.concatenate(feats, axis=0)
-

@@ -5,38 +5,19 @@ the reference Caffe-MKL CPU path uses FP32.  This package provides the
 FP16 emulation used by the VPU execution path (mirroring the OpenEXR
 ``half`` conversion the paper's NCSw framework performs on input pixels),
 mixed-precision execution policies, and the statistics used to report
-error bars and confidence intervals in the figures.
+error bars in the figures.
 """
 
-from repro.numerics.half import (
-    FP16_MAX,
-    FP16_MIN_NORMAL,
-    to_half,
-    from_half,
-    round_fp16,
-    is_representable_fp16,
-)
+from repro.numerics.half import round_fp16
 from repro.numerics.quant import Precision, PrecisionPolicy
-from repro.numerics.stats import (
-    RunningStats,
-    confidence_interval,
-    mean_std,
-)
-from repro.numerics.ulp import ulp_distance, relative_error, max_abs_error
+from repro.numerics.stats import RunningStats
+from repro.numerics.ulp import ulp_distance, relative_error
 
 __all__ = [
-    "FP16_MAX",
-    "FP16_MIN_NORMAL",
-    "to_half",
-    "from_half",
     "round_fp16",
-    "is_representable_fp16",
     "Precision",
     "PrecisionPolicy",
     "RunningStats",
-    "confidence_interval",
-    "mean_std",
     "ulp_distance",
     "relative_error",
-    "max_abs_error",
 ]

@@ -2,15 +2,13 @@
 
 Every figure in the paper reports per-subset means with standard
 deviations as error bars; :class:`RunningStats` (Welford's online
-algorithm) accumulates those without storing all samples, and
-:func:`confidence_interval` backs the "confidence error difference"
-language of the abstract.
+algorithm) accumulates those without storing all samples.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class RunningStats:
@@ -80,13 +78,6 @@ class RunningStats:
             raise ValueError("no samples")
         return self._max
 
-    @property
-    def sem(self) -> float:
-        """Standard error of the mean."""
-        if self._n == 0:
-            raise ValueError("no samples")
-        return self.std / math.sqrt(self._n)
-
     def merge(self, other: "RunningStats") -> "RunningStats":
         """Combine two accumulators (parallel Welford merge)."""
         out = RunningStats()
@@ -107,34 +98,3 @@ class RunningStats:
             return "<RunningStats empty>"
         return (f"<RunningStats n={self._n} mean={self._mean:.6g} "
                 f"std={self.std:.6g}>")
-
-
-def mean_std(xs: Sequence[float]) -> tuple[float, float]:
-    """Convenience: (mean, sample std) of a sequence."""
-    rs = RunningStats()
-    rs.extend(xs)
-    return rs.mean, rs.std
-
-
-# Two-sided critical values of the standard normal for common levels.
-_Z = {0.90: 1.6448536269514722,
-      0.95: 1.959963984540054,
-      0.99: 2.5758293035489004}
-
-
-def confidence_interval(xs: Sequence[float],
-                        level: float = 0.95) -> tuple[float, float]:
-    """Normal-approximation confidence interval for the mean of *xs*."""
-    if level not in _Z:
-        raise ValueError(f"unsupported level {level}; use one of {set(_Z)}")
-    rs = RunningStats()
-    rs.extend(xs)
-    half = _Z[level] * rs.sem
-    return rs.mean - half, rs.mean + half
-
-
-def relative_change(new: float, ref: float) -> float:
-    """(new - ref) / ref; the paper's '40.7% slower' style of number."""
-    if ref == 0:
-        raise ValueError("reference value is zero")
-    return (new - ref) / ref

@@ -44,15 +44,3 @@ def relative_error(approx: np.ndarray, exact: np.ndarray,
     a = np.asarray(approx, dtype=np.float64)
     e = np.asarray(exact, dtype=np.float64)
     return np.abs(a - e) / np.maximum(np.abs(e), eps)
-
-
-def max_abs_error(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest element-wise absolute difference."""
-    return float(np.max(np.abs(np.asarray(a, dtype=np.float64)
-                               - np.asarray(b, dtype=np.float64))))
-
-
-def mean_abs_error(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean element-wise absolute difference."""
-    return float(np.mean(np.abs(np.asarray(a, dtype=np.float64)
-                                - np.asarray(b, dtype=np.float64))))

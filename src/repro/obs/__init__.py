@@ -29,7 +29,7 @@ points guard on ``env.obs is None`` and benchmark numbers are
 byte-identical with tracing off.
 """
 
-from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
+from repro.obs.tracer import Span, Tracer
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -80,8 +80,6 @@ from repro.obs.report import (
 __all__ = [
     "Span",
     "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
     "Counter",
     "Gauge",
     "Histogram",

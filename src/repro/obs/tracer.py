@@ -14,9 +14,7 @@ monotonic timeline instead of overlapping at ``t=0``.
 
 The default tracer in the instrumented stack is *no* tracer
 (``Environment.obs is None``), which costs one attribute check per
-instrumentation point; :class:`NullTracer` additionally provides an
-object-shaped no-op for code that wants to hold a tracer
-unconditionally.
+instrumentation point.
 """
 
 from __future__ import annotations
@@ -211,25 +209,3 @@ class Tracer:
     def extent(self) -> float:
         """High-water timestamp: end of the recorded timeline."""
         return self._high_water
-
-
-class NullTracer(Tracer):
-    """A tracer that records nothing, ever.
-
-    Useful as an always-safe default for code that wants to call
-    tracer methods unconditionally; :meth:`enable` is refused so the
-    null instance can be shared globally without risk of one caller
-    turning on recording for everyone.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(enabled=False)
-
-    def enable(self) -> None:
-        """Refused: the null tracer can never record."""
-        raise ObservabilityError(
-            "NullTracer cannot be enabled; create a Tracer instead")
-
-
-#: Shared do-nothing tracer instance.
-NULL_TRACER = NullTracer()

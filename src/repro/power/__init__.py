@@ -11,7 +11,6 @@ from repro.power.tdp import TDP, TDPRegistry, DEFAULT_TDP
 from repro.power.metrics import (
     throughput_per_watt,
     tdp_reduction,
-    EnergyAccount,
 )
 
 __all__ = [
@@ -20,5 +19,4 @@ __all__ = [
     "DEFAULT_TDP",
     "throughput_per_watt",
     "tdp_reduction",
-    "EnergyAccount",
 ]

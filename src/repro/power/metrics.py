@@ -1,8 +1,6 @@
-"""Throughput-per-Watt (the paper's Eq. 1) and energy accounting."""
+"""Throughput-per-Watt (the paper's Eq. 1) and TDP comparisons."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from repro.errors import PowerError
 
@@ -25,34 +23,3 @@ def tdp_reduction(baseline_watts: float, new_watts: float) -> float:
     if baseline_watts <= 0 or new_watts <= 0:
         raise PowerError("TDP values must be positive")
     return baseline_watts / new_watts
-
-
-@dataclass
-class EnergyAccount:
-    """Accumulates (watts x seconds) contributions into joules."""
-
-    joules: float = 0.0
-    _entries: list[tuple[str, float]] = field(default_factory=list)
-
-    def add(self, label: str, watts: float, seconds: float) -> None:
-        """Charge *watts* over *seconds* under *label*."""
-        if watts < 0 or seconds < 0:
-            raise PowerError("watts and seconds must be >= 0")
-        energy = watts * seconds
-        self.joules += energy
-        self._entries.append((label, energy))
-
-    def by_label(self) -> dict[str, float]:
-        """Joules per label."""
-        out: dict[str, float] = {}
-        for label, energy in self._entries:
-            out[label] = out.get(label, 0.0) + energy
-        return out
-
-    def images_per_joule(self, images: int) -> float:
-        """Efficiency expressed per unit energy."""
-        if self.joules <= 0:
-            raise PowerError("no energy accounted")
-        if images < 0:
-            raise PowerError("images must be >= 0")
-        return images / self.joules

@@ -47,8 +47,6 @@ REJECTED = "rejected"      #: turned away at admission (reject-newest)
 TIMED_OUT = "timed_out"    #: deadline expired while queued
 ABANDONED = "abandoned"    #: lost to device failure past the retry budget
 
-TERMINAL_STATES = (COMPLETED, SHED, REJECTED, TIMED_OUT, ABANDONED)
-
 
 def _seeded_rng(seed: int, salt: str = "") -> np.random.Generator:
     """Stable RNG from a seed (sha256, not Python's salted hash)."""

@@ -12,7 +12,7 @@ produce identical traces.
 
 from repro.sim.core import (Environment, Event, Process, Timeout,
                             Interrupt, CANCELLED)
-from repro.sim.resources import Resource, PriorityResource, Store
+from repro.sim.resources import Resource, Store
 from repro.sim.monitor import Monitor, TraceRecorder
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "Interrupt",
     "CANCELLED",
     "Resource",
-    "PriorityResource",
     "Store",
     "Monitor",
     "TraceRecorder",

@@ -128,14 +128,6 @@ class Event:
         heappush(env._queue, (env._now, NORMAL, seq, self))
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another (for chaining)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            event._defused = True
-            self.fail(event._value)
-
     # -- composition --------------------------------------------------------
     def __and__(self, other: "Event") -> "Condition":
         return Condition(self.env, Condition.all_events, [self, other])
@@ -462,10 +454,6 @@ class Environment:
             self._queue[:] = kept
         self._cancelled = 0
         return removed
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or +inf if the queue is empty."""
-        return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
         """Process the single next event."""

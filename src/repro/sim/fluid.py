@@ -556,10 +556,14 @@ class GateReport:
         return "\n".join(lines)
 
 
-def equivalence_gate(fluid: FluidResult, des: Any, *,
-                     attainment_tol: float = 0.12,
-                     goodput_tol: float = 0.30,
-                     p99_tol: float = 0.75) -> GateReport:
+#: Agreement bands of :func:`equivalence_gate`: attainment absolute,
+#: goodput and p99 relative to the DES value.
+_ATTAINMENT_TOL = 0.12
+_GOODPUT_TOL = 0.30
+_P99_TOL = 0.75
+
+
+def equivalence_gate(fluid: FluidResult, des: Any) -> GateReport:
     """Assert the hybrid run agrees with a pure-DES run.
 
     *des* is any result exposing ``slo_attainment``, ``goodput`` and
@@ -577,18 +581,18 @@ def equivalence_gate(fluid: FluidResult, des: Any, *,
     d_att = float(des.slo_attainment)
     checks.append(GateCheck(
         name="attainment", fluid=f_att, des=d_att,
-        tol=attainment_tol, kind="abs",
-        ok=abs(f_att - d_att) <= attainment_tol))
+        tol=_ATTAINMENT_TOL, kind="abs",
+        ok=abs(f_att - d_att) <= _ATTAINMENT_TOL))
 
     f_gp = fluid.goodput
     d_gp = float(des.goodput)
     if d_gp > 0.0:
-        ok = abs(f_gp - d_gp) <= goodput_tol * d_gp
+        ok = abs(f_gp - d_gp) <= _GOODPUT_TOL * d_gp
     else:
         ok = f_gp == 0.0
     checks.append(GateCheck(
         name="goodput", fluid=f_gp, des=d_gp,
-        tol=goodput_tol, kind="rel", ok=ok))
+        tol=_GOODPUT_TOL, kind="rel", ok=ok))
 
     f_p99: Optional[float] = None
     d_p99: Optional[float] = None
@@ -600,7 +604,7 @@ def equivalence_gate(fluid: FluidResult, des: Any, *,
     if f_p99 is not None and d_p99 is not None and d_p99 > 0.0:
         checks.append(GateCheck(
             name="p99", fluid=f_p99, des=d_p99,
-            tol=p99_tol, kind="rel",
-            ok=abs(f_p99 - d_p99) <= p99_tol * d_p99))
+            tol=_P99_TOL, kind="rel",
+            ok=abs(f_p99 - d_p99) <= _P99_TOL * d_p99))
 
     return GateReport(ok=all(c.ok for c in checks), checks=checks)

@@ -174,11 +174,3 @@ class TraceRecorder:
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
-
-    def by_action(self, action: str) -> list[TraceEvent]:
-        """All records whose action equals *action*."""
-        return [e for e in self.events if e.action == action]
-
-    def by_actor(self, actor: str) -> list[TraceEvent]:
-        """All records emitted by *actor*."""
-        return [e for e in self.events if e.actor == actor]

@@ -1,19 +1,16 @@
 """Shared resources for the DES kernel.
 
-Three primitives cover every contention point in the simulator:
+Two primitives cover every contention point in the simulator:
 
 * :class:`Resource` — a counted semaphore with FIFO queueing (USB link
   slots, SHAVE processors, host threads).
-* :class:`PriorityResource` — same, but requests carry a priority
-  (CMX port arbitration favours SIPP filters over SHAVE loads).
 * :class:`Store` — a FIFO buffer of Python objects with blocking put/get
   (inference FIFOs on the NCS, channels between pipeline stages).
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Callable, Optional
+from typing import Any
 
 from repro.errors import SimulationError
 from repro.sim.core import CANCELLED, PENDING, Environment, Event
@@ -29,9 +26,9 @@ class Request(Event):
             ... hold the resource ...
     """
 
-    __slots__ = ("resource", "priority", "order")
+    __slots__ = ("resource",)
 
-    def __init__(self, resource: "Resource", priority: int = 0) -> None:
+    def __init__(self, resource: "Resource") -> None:
         # Event.__init__ inlined: requests are created on the sim's
         # innermost loop and the extra frame is measurable.
         self.env = resource.env
@@ -41,8 +38,6 @@ class Request(Event):
         self._defused = False
         self._processed = False
         self.resource = resource
-        self.priority = priority
-        self.order = next(resource._counter)
         resource._do_request(self)
 
     def __enter__(self) -> "Request":
@@ -53,7 +48,7 @@ class Request(Event):
 
 
 class Resource:
-    """Counted resource with *capacity* slots and FIFO (or priority) queue."""
+    """Counted resource with *capacity* slots and a FIFO queue."""
 
     def __init__(self, env: Environment, capacity: int = 1) -> None:
         if capacity < 1:
@@ -62,16 +57,15 @@ class Resource:
         self.capacity = capacity
         self.users: list[Request] = []
         self.queue: list[Request] = []
-        self._counter = itertools.count()
 
     @property
     def count(self) -> int:
         """Number of slots currently held."""
         return len(self.users)
 
-    def request(self, priority: int = 0) -> Request:
+    def request(self) -> Request:
         """Ask for a slot; returns an event that fires on acquisition."""
-        return Request(self, priority)
+        return Request(self)
 
     def release(self, request: Request) -> None:
         """Return a slot previously granted to *request*.
@@ -96,10 +90,6 @@ class Resource:
             request.succeed()
         else:
             self.queue.append(request)
-            self._sort_queue()
-
-    def _sort_queue(self) -> None:
-        """FIFO resources keep insertion order; subclasses may reorder."""
 
     def _grant_next(self) -> None:
         while self.queue and len(self.users) < self.capacity:
@@ -108,13 +98,6 @@ class Resource:
                 continue  # cancelled while waiting
             self.users.append(request)
             request.succeed()
-
-
-class PriorityResource(Resource):
-    """Resource whose waiters are served lowest-priority-value first."""
-
-    def _sort_queue(self) -> None:
-        self.queue.sort(key=lambda r: (r.priority, r.order))
 
 
 class StorePut(Event):
@@ -135,25 +118,22 @@ class StorePut(Event):
 class StoreGet(Event):
     """Pending retrieval from a :class:`Store`."""
 
-    __slots__ = ("filter",)
+    __slots__ = ()
 
-    def __init__(self, store: "Store",
-                 filter: Optional[Callable[[Any], bool]] = None) -> None:
+    def __init__(self, store: "Store") -> None:
         self.env = store.env
         self.callbacks = None
         self._value = PENDING
         self._ok = None
         self._defused = False
         self._processed = False
-        self.filter = filter
 
 
 class Store:
     """FIFO object buffer with optional capacity bound.
 
-    ``put`` blocks when the store is full; ``get`` blocks when no item
-    matches.  ``get`` accepts an optional filter predicate, which the NCS
-    device model uses to pop a specific in-flight inference by tag.
+    ``put`` blocks when the store is full; ``get`` blocks while it is
+    empty and takes the oldest item.
     """
 
     def __init__(self, env: Environment,
@@ -188,19 +168,18 @@ class Store:
             self._dispatch()
         return event
 
-    def get(self, filter: Optional[Callable[[Any], bool]] = None) -> StoreGet:
-        """Remove and return an item; event fires with the item as value."""
-        event = StoreGet(self, filter)
+    def get(self) -> StoreGet:
+        """Remove and return the oldest item; event fires with the item
+        as value."""
+        event = StoreGet(self)
         # Fast path: an item is available and nobody is queued ahead —
         # serve directly, then admit a blocked putter into the freed
         # slot.  Identical event ordering to the general dispatch.
         if not self._getters and self.items:
-            idx = 0 if filter is None else self._find(filter)
-            if idx is not None:
-                event.succeed(self.items.pop(idx))
-                if self._putters:
-                    self._dispatch()
-                return event
+            event.succeed(self.items.pop(0))
+            if self._putters:
+                self._dispatch()
+            return event
         self._getters.append(event)
         self._dispatch()
         return event
@@ -277,9 +256,9 @@ class Store:
                 items.append(put.item)
                 put.succeed()
                 progress = True
-            # Serve pending gets with matching items.  An empty store
-            # cannot serve any getter (filters see items only), so skip
-            # the scan — and its list churn — outright in that case.
+            # Serve pending gets, oldest item first.  An empty store
+            # cannot serve any getter, so skip the scan — and its list
+            # churn — outright in that case.
             if not items:
                 break
             getters = self._getters
@@ -288,23 +267,9 @@ class Store:
                 for get in getters:
                     if get._value is not PENDING:
                         self._cancelled -= 1
-                        continue
-                    idx = self._find(get.filter)
-                    if idx is None:
-                        remaining.append(get)
-                    else:
-                        get.succeed(items.pop(idx))
+                    elif items:
+                        get.succeed(items.pop(0))
                         progress = True
+                    else:
+                        remaining.append(get)
                 self._getters = remaining
-
-    def _find(self, filter: Optional[Callable[[Any], bool]]) -> Optional[int]:
-        if filter is None:
-            return 0 if self.items else None
-        for i, item in enumerate(self.items):
-            if filter(item):
-                return i
-        return None
-
-
-class PreemptionError(SimulationError):
-    """Raised when preemptive resources would be required (unsupported)."""

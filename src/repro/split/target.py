@@ -22,7 +22,6 @@ from typing import Any, Generator, List, Optional
 
 import numpy as np
 
-from repro.errors import FrameworkError
 from repro.ncsw.results import InferenceRecord
 from repro.ncsw.sources import WorkItem
 from repro.ncsw.targets import TargetDevice, record_from_probs
@@ -76,11 +75,6 @@ class SplitTarget(TargetDevice):
         self._back_track = f"{self.name}/back"
 
     # -- TargetDevice interface -----------------------------------------
-    @property
-    def device_count(self) -> int:
-        """Sticks plus the one host device."""
-        return self.plan.num_sticks + 1
-
     @property
     def tdp_watts(self) -> float:  # type: ignore[override]
         return self.plan.total_watts
@@ -180,20 +174,10 @@ def build_split_target(network: Network, *,
                        front: str = "vpu", back: str = "cpu",
                        num_sticks: int = 1,
                        objective: str = "latency",
-                       cut_index: Optional[int] = None,
                        functional: bool = True) -> SplitTarget:
-    """Plan (or pick) a cut and wrap it as a serving target."""
+    """Plan the best cut for *objective* and wrap it as a serving
+    target."""
     planner = SplitPlanner(network, graph=graph, front=front,
                            back=back, num_sticks=num_sticks)
-    if cut_index is None:
-        plan = planner.best(objective)
-    else:
-        from repro.split.partition import enumerate_cuts
-        for cut in enumerate_cuts(network):
-            if cut.index == cut_index:
-                plan = planner.plan(cut)
-                break
-        else:
-            raise FrameworkError(
-                f"no valid cut at layer index {cut_index}")
-    return SplitTarget(network, plan, functional=functional)
+    return SplitTarget(network, planner.best(objective),
+                       functional=functional)

@@ -47,12 +47,6 @@ def clear_patch_caches() -> None:
     _scratch_cache.clear()
 
 
-def patch_cache_info() -> dict[str, int]:
-    """Current cache occupancy (observability/test helper)."""
-    return {"index_entries": len(_index_cache),
-            "scratch_entries": len(_scratch_cache)}
-
-
 def _flat_patch_indices(c: int, h: int, w: int, kernel: int,
                         stride: int, pad: int
                         ) -> tuple[np.ndarray, int, int]:

@@ -37,18 +37,9 @@ class BlobShape:
         """Total number of elements."""
         return self.n * self.c * self.h * self.w
 
-    @property
-    def spatial(self) -> tuple[int, int]:
-        """(height, width) pair."""
-        return (self.h, self.w)
-
     def nbytes(self, bytes_per_element: int = 4) -> int:
         """Size of the blob in bytes at the given element width."""
         return self.count * bytes_per_element
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        """The shape as a plain (n, c, h, w) tuple."""
-        return (self.n, self.c, self.h, self.w)
 
     def with_batch(self, n: int) -> "BlobShape":
         """Same shape with a different batch dimension."""

@@ -3,20 +3,13 @@
 All simulator-internal quantities use SI base units: seconds, bytes,
 hertz, watts.  These helpers exist so call sites read like the datasheet
 values they encode (``600 * MHZ``, ``2 * MiB``) instead of bare powers of
-ten, and so conversions to human-readable strings are centralised.
+ten.
 """
 
 from __future__ import annotations
 
 # --- frequency -----------------------------------------------------------
-KHZ = 1e3
 MHZ = 1e6
-GHZ = 1e9
-
-# --- time ----------------------------------------------------------------
-US = 1e-6
-MS = 1e-3
-NS = 1e-9
 
 # --- data sizes (binary) -------------------------------------------------
 KiB = 1024
@@ -24,23 +17,8 @@ MiB = 1024 * KiB
 GiB = 1024 * MiB
 
 # --- data sizes / rates (decimal, as used in bus datasheets) -------------
-KB = 1e3
 MB = 1e6
 GB = 1e9
-
-# --- compute -------------------------------------------------------------
-GFLOP = 1e9
-MFLOP = 1e6
-
-
-def seconds_to_ms(t: float) -> float:
-    """Convert seconds to milliseconds."""
-    return t / MS
-
-
-def ms_to_seconds(t: float) -> float:
-    """Convert milliseconds to seconds."""
-    return t * MS
 
 
 def cycles_to_seconds(cycles: float, freq_hz: float) -> float:
@@ -48,52 +26,3 @@ def cycles_to_seconds(cycles: float, freq_hz: float) -> float:
     if freq_hz <= 0:
         raise ValueError(f"frequency must be positive, got {freq_hz}")
     return cycles / freq_hz
-
-
-def seconds_to_cycles(t: float, freq_hz: float) -> float:
-    """Clock ticks elapsed in *t* seconds at *freq_hz*."""
-    if freq_hz <= 0:
-        raise ValueError(f"frequency must be positive, got {freq_hz}")
-    return t * freq_hz
-
-
-def transfer_time(nbytes: float, bandwidth_bytes_per_s: float,
-                  latency_s: float = 0.0) -> float:
-    """Latency-plus-bandwidth cost model for moving *nbytes* over a link."""
-    if bandwidth_bytes_per_s <= 0:
-        raise ValueError(
-            f"bandwidth must be positive, got {bandwidth_bytes_per_s}")
-    if nbytes < 0:
-        raise ValueError(f"nbytes must be non-negative, got {nbytes}")
-    return latency_s + nbytes / bandwidth_bytes_per_s
-
-
-def fmt_bytes(nbytes: float) -> str:
-    """Human-readable binary size string (``'2.0 MiB'``)."""
-    n = float(nbytes)
-    for unit in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if abs(n) < 1024 or unit == "TiB":
-            return f"{n:.1f} {unit}" if unit != "B" else f"{int(n)} B"
-        n /= 1024
-    raise AssertionError("unreachable")
-
-
-def fmt_time(t: float) -> str:
-    """Human-readable time string with an auto-selected unit."""
-    if t == 0:
-        return "0 s"
-    at = abs(t)
-    if at >= 1:
-        return f"{t:.3f} s"
-    if at >= MS:
-        return f"{t / MS:.3f} ms"
-    if at >= US:
-        return f"{t / US:.3f} us"
-    return f"{t / NS:.1f} ns"
-
-
-def fmt_rate(images: float, t: float) -> str:
-    """Throughput string in images/second."""
-    if t <= 0:
-        return "inf img/s"
-    return f"{images / t:.1f} img/s"

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.units import cycles_to_seconds, seconds_to_cycles
+from repro.units import cycles_to_seconds
 
 
 @dataclass(frozen=True)
@@ -25,10 +25,6 @@ class Clock:
     def to_seconds(self, cycles: float) -> float:
         """Wall-clock duration of *cycles* ticks."""
         return cycles_to_seconds(cycles, self.freq_hz)
-
-    def to_cycles(self, seconds: float) -> float:
-        """Ticks elapsed in *seconds*."""
-        return seconds_to_cycles(seconds, self.freq_hz)
 
     @property
     def period(self) -> float:

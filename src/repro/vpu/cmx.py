@@ -83,10 +83,6 @@ class CMXMemory:
         """Bytes currently unallocated."""
         return self.capacity - self.used
 
-    def slice_used(self, index: int) -> int:
-        """Bytes allocated in slice *index*."""
-        return self._slices[index].used
-
     def alloc(self, nbytes: int, tag: str = "",
               prefer_slice: int | None = None) -> list[CMXBlock]:
         """Allocate *nbytes*, splitting across slices if needed.

@@ -20,7 +20,8 @@ DDR_LATENCY_S = 150e-9
 
 
 class DDRChannel:
-    """Capacity accounting plus a latency+bandwidth transfer model."""
+    """Capacity accounting plus the latency and bandwidth the DMA engine
+    charges transfers at."""
 
     def __init__(self, capacity: int = int(DDR_CAPACITY_BYTES),
                  bandwidth: float = DDR_BANDWIDTH_BYTES_S,
@@ -59,17 +60,3 @@ class DDRChannel:
         if handle > self._used:
             raise AllocationError("release exceeds allocated bytes")
         self._used -= handle
-
-    def read_seconds(self, nbytes: float) -> float:
-        """Cost of reading *nbytes* from DDR (accounted)."""
-        if nbytes < 0:
-            raise AllocationError("negative read size")
-        self.bytes_read += int(nbytes)
-        return self.latency + nbytes / self.bandwidth
-
-    def write_seconds(self, nbytes: float) -> float:
-        """Cost of writing *nbytes* to DDR (accounted)."""
-        if nbytes < 0:
-            raise AllocationError("negative write size")
-        self.bytes_written += int(nbytes)
-        return self.latency + nbytes / self.bandwidth

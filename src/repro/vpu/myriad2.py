@@ -195,8 +195,3 @@ class Myriad2:
     def _emit(self, action: str, **detail) -> None:
         if self.trace is not None:
             self.trace.emit(self.name, action, **detail)
-
-    def shave_utilization(self) -> list[float]:
-        """Busy fraction of each SHAVE over the elapsed simulation."""
-        total = self.clock.to_cycles(self.env.now)
-        return [s.utilization(int(total)) for s in self.shaves]

@@ -53,11 +53,6 @@ class PowerIslands:
         """Number of power islands (the NCS uses 20)."""
         return len(self.islands)
 
-    def is_on(self, name: str) -> bool:
-        """Whether the named island is currently ungated."""
-        self._check(name)
-        return self._on[name]
-
     def power_on(self, *names: str) -> None:
         """Ungate the named islands as one transition.
 
@@ -87,29 +82,12 @@ class PowerIslands:
         if flipped:
             self.monitor.record(self.current_power())
 
-    def power_on_all(self) -> None:
-        """Ungate every island (peak-power state)."""
-        for name in self.islands:
-            self._on[name] = True
-        self.monitor.record(self.current_power())
-
-    def power_off_all(self) -> None:
-        """Gate everything except the always-on island."""
-        for name in self.islands:
-            if name != "always_on":
-                self._on[name] = False
-        self.monitor.record(self.current_power())
-
     def current_power(self) -> float:
         """Instantaneous chip power in watts."""
         total = 0.0
         for name, p in self.islands.items():
             total += p if self._on[name] else p * GATED_FRACTION
         return total
-
-    def peak_power(self) -> float:
-        """All-islands-on power (the chip's TDP-style figure)."""
-        return sum(self.islands.values())
 
     def energy_joules(self) -> float:
         """Energy consumed from t=0 to the current simulated time."""

@@ -106,7 +106,7 @@ def test_micro_model_is_cheaper(micro_net):
 def test_run_batch_advances_clock(micro_net):
     env = Environment()
     dev = CPUDevice(env, micro_net, functional=False)
-    env.run(until=dev.run_batch(None, batch=8))
+    env.run(until=env.process(dev._run(None, 8)))
     assert env.now == pytest.approx(dev.batch_seconds(8))
     assert dev.batches_run == 1
     assert dev.images_run == 8
@@ -117,19 +117,9 @@ def test_run_batch_functional_returns_probs(micro_net):
     dev = CPUDevice(env, micro_net, functional=True)
     x = np.random.default_rng(0).normal(
         size=(2, 3, 32, 32)).astype(np.float32) * 0.1
-    out = env.run(until=dev.run_batch(x))
+    out = env.run(until=env.process(dev._run(x, 2)))
     assert out.shape == (2, 10, 1, 1)
     np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=1e-4)
-
-
-def test_run_batch_validation(micro_net):
-    env = Environment()
-    dev = CPUDevice(env, micro_net)
-    with pytest.raises(SimulationError):
-        dev.run_batch(None)
-    with pytest.raises(SimulationError):
-        dev.run_batch(np.zeros((2, 3, 32, 32), dtype=np.float32),
-                      batch=4)
 
 
 def test_predict_synchronous(micro_net):
@@ -141,13 +131,3 @@ def test_predict_synchronous(micro_net):
     assert labels.shape == (3,)
     assert np.all(confs > 0)
     assert env.now == 0  # no simulated time consumed
-
-
-def test_gpu_memory_check(micro_net):
-    env = Environment()
-    dev = GPUDevice(env, micro_net)
-    assert dev.fits_in_memory(1)
-    net = build_googlenet()
-    big = GPUDevice(env, net)
-    assert big.fits_in_memory(8)   # paper runs batch 8 on the K4000
-    assert not big.fits_in_memory(3000)  # 3 GB card limit

@@ -32,7 +32,9 @@ def test_anchored_claims_are_tight(timing_audit):
                 "vpu-single-latency"}
     for r in timing_audit:
         if r.claim.claim_id in anchored:
-            assert r.deviation < 0.01, r.claim.claim_id
+            paper = r.claim.paper_value
+            assert abs(r.measured - paper) < 0.01 * abs(paper), \
+                r.claim.claim_id
 
 
 def test_claims_carry_quotes():

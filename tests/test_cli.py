@@ -1,5 +1,7 @@
 """Tests for the experiment CLI."""
 
+import json
+
 import pytest
 
 from repro.harness.cli import build_parser, main
@@ -69,9 +71,8 @@ def test_json_dir_option(tmp_path, capsys):
     assert main(["fig6b", "--images", "16",
                  "--json-dir", str(tmp_path)]) == 0
     assert (tmp_path / "fig6b.json").exists()
-    from repro.harness.export import load_figure_json
-    fig = load_figure_json(tmp_path / "fig6b.json")
-    assert fig.figure_id == "fig6b"
+    data = json.loads((tmp_path / "fig6b.json").read_text())
+    assert data["figure_id"] == "fig6b"
 
 
 def test_report_markdown_option(tmp_path, capsys):

@@ -34,14 +34,6 @@ def test_vocabulary_lemmas_unique():
     assert len(set(lemmas)) == 1000
 
 
-def test_vocabulary_by_wnid():
-    v = SynsetVocabulary(num_classes=10)
-    s = v[3]
-    assert v.by_wnid(s.wnid) is s
-    with pytest.raises(DatasetError):
-        v.by_wnid("n99999999")
-
-
 def test_vocabulary_deterministic():
     a = SynsetVocabulary(num_classes=50)
     b = SynsetVocabulary(num_classes=50)

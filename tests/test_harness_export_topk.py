@@ -1,144 +1,16 @@
-"""Tests for JSON result export and top-k error metrics."""
+"""Tests for JSON result export."""
+
+import json
 
 import numpy as np
-import pytest
 
-from repro.errors import FrameworkError, ReproError
-from repro.harness.export import (
-    comparison_to_dict,
-    figure_from_dict,
-    figure_to_dict,
-    load_figure_json,
-    save_figure_json,
-)
-from repro.harness.figures import FigureResult, Series
-from repro.ncsw.results import InferenceRecord, RunResult
-
-
-def _figure():
-    result = FigureResult(
-        figure_id="figX", title="t", xlabel="x", ylabel="y",
-        paper_reference={"cpu": 44.0, "curve": (1.0, 2.0)},
-        notes="n", scale="default")
-    result.series.append(Series("a", ("s1", "s2"), (1.5, 2.5),
-                                yerr=(0.1, 0.2)))
-    result.series.append(Series("b", ("s1", "s2"), (3.0, 4.0)))
-    return result
-
-
-# --- export ---------------------------------------------------------------
-
-def test_figure_dict_roundtrip():
-    fig = _figure()
-    data = figure_to_dict(fig)
-    rebuilt = figure_from_dict(data)
-    assert rebuilt.figure_id == fig.figure_id
-    assert rebuilt.paper_reference == fig.paper_reference
-    assert rebuilt.by_label("a").y == fig.by_label("a").y
-    assert rebuilt.by_label("a").yerr == fig.by_label("a").yerr
-    assert rebuilt.by_label("b").yerr is None
-
-
-def test_figure_json_file_roundtrip(tmp_path):
-    fig = _figure()
-    path = tmp_path / "figX.json"
-    save_figure_json(fig, path)
-    rebuilt = load_figure_json(path)
-    assert rebuilt.title == fig.title
-    assert rebuilt.series[1].y == (3.0, 4.0)
-
-
-def test_load_corrupt_json(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    with pytest.raises(ReproError, match="corrupt"):
-        load_figure_json(path)
-
-
-def test_malformed_dict_rejected():
-    with pytest.raises(ReproError, match="missing"):
-        figure_from_dict({"figure_id": "x"})
-
-
-def test_comparison_to_dict():
-    rows = comparison_to_dict([("m", 2.0, 2.2)])
-    assert rows[0]["metric"] == "m"
-    assert rows[0]["ratio"] == pytest.approx(1.1)
+from repro.harness.export import save_figure_json
 
 
 def test_exported_real_figure_is_json_safe(tmp_path):
     from repro.harness import fig6b_normalized_scaling
     fig = fig6b_normalized_scaling(images=32)
     save_figure_json(fig, tmp_path / "fig6b.json")
-    rebuilt = load_figure_json(tmp_path / "fig6b.json")
-    np.testing.assert_allclose(rebuilt.by_label("vpu").y,
-                               fig.by_label("vpu").y)
-
-
-# --- top-k ---------------------------------------------------------------------
-
-def _rec(label, topk, idx=0):
-    return InferenceRecord(
-        index=idx, image_id=idx + 1, label=label,
-        predicted=topk[0] if topk else None,
-        confidence=0.5, device="d", t_submit=0, t_complete=1,
-        topk=tuple(topk) if topk else None)
-
-
-def test_correct_topk():
-    r = _rec(3, [1, 2, 3, 4, 5])
-    assert r.correct is False       # top-1 misses
-    assert r.correct_topk(5) is True
-    assert r.correct_topk(2) is False
-    assert _rec(None, [1]).correct_topk() is None
-    assert _rec(3, None).correct_topk() is None
-
-
-def test_run_result_topk_error():
-    rr = RunResult(source="s", target="t", batch_size=1)
-    rr.records = [
-        _rec(0, [0, 1, 2, 3, 4], 0),   # top-1 hit
-        _rec(4, [0, 1, 2, 3, 4], 1),   # top-5 hit only
-        _rec(9, [0, 1, 2, 3, 4], 2),   # miss entirely
-    ]
-    assert rr.top1_error() == pytest.approx(2 / 3)
-    assert rr.topk_error(5) == pytest.approx(1 / 3)
-    assert rr.topk_error(1) == pytest.approx(2 / 3)
-
-
-def test_topk_error_requires_topk_records():
-    rr = RunResult(source="s", target="t", batch_size=1)
-    rr.records = [_rec(1, None)]
-    with pytest.raises(FrameworkError):
-        rr.topk_error()
-
-
-def test_topk_populated_end_to_end():
-    """Both scheduler and host-target paths record top-5 sets."""
-    from repro.data import ImageSynthesizer, Preprocessor
-    from repro.ncsw import ImageFolder, IntelCPU, IntelVPU, NCSw
-    from repro.data import ILSVRCValidation, SynsetVocabulary
-    from repro.nn import get_model
-    from repro.nn.weights import WeightStore
-    from repro.vpu import compile_graph
-
-    net = get_model("googlenet-micro")
-    synth = ImageSynthesizer(num_classes=10, size=32, noise_sigma=20,
-                             jitter_shift=0)
-    pp = Preprocessor(input_size=32)
-    WeightStore(seed=0).pretrain(
-        net, lambda c: pp(synth.template(c)), num_classes=10)
-    vocab = SynsetVocabulary(num_classes=10)
-    ds = ILSVRCValidation(vocab, synth, num_images=8, subset_size=8)
-
-    fw = NCSw()
-    fw.add_source("v", ImageFolder(ds, 0, pp))
-    fw.add_target("cpu", IntelCPU(net))
-    fw.add_target("vpu", IntelVPU(graph=compile_graph(net),
-                                  num_devices=2))
-    for target in ("cpu", "vpu"):
-        run = fw.run("v", target, batch_size=4)
-        assert all(r.topk is not None and len(r.topk) == 5
-                   for r in run.records)
-        # top-5 error never exceeds top-1 error.
-        assert run.topk_error(5) <= run.top1_error()
+    data = json.loads((tmp_path / "fig6b.json").read_text())
+    vpu = next(s for s in data["series"] if s["label"] == "vpu")
+    np.testing.assert_allclose(vpu["y"], fig.by_label("vpu").y)

@@ -11,11 +11,7 @@ import numpy as np
 import pytest
 
 from repro.tensors import im2col
-from repro.tensors.im2col import (
-    clear_patch_caches,
-    conv2d_gemm,
-    patch_cache_info,
-)
+from repro.tensors.im2col import _index_cache, clear_patch_caches, conv2d_gemm
 
 
 def _input(dtype, seed=0, shape=(2, 3, 9, 9)):
@@ -30,7 +26,7 @@ def test_im2col_cached_equals_cold(dtype, kernel, stride, pad):
     x = _input(dtype)
     clear_patch_caches()
     cold = im2col(x, kernel, stride, pad)
-    assert patch_cache_info()["index_entries"] == 1
+    assert len(_index_cache) == 1
     warm = im2col(x, kernel, stride, pad)
     assert warm.dtype == cold.dtype == np.dtype(dtype)
     assert cold.tobytes() == warm.tobytes()
@@ -61,9 +57,8 @@ def test_index_cache_is_bounded():
         for s in (1, 2):
             for p in range(k):  # pad must stay below the kernel
                 im2col(x, k, s, p)
-    info = patch_cache_info()
-    assert 0 < info["index_entries"] <= mod._INDEX_CACHE_SIZE
-    assert 0 <= info["scratch_entries"] <= mod._SCRATCH_CACHE_SIZE
+    assert 0 < len(mod._index_cache) <= mod._INDEX_CACHE_SIZE
+    assert 0 <= len(mod._scratch_cache) <= mod._SCRATCH_CACHE_SIZE
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float16])

@@ -34,7 +34,7 @@ def test_zero_jitter_is_deterministic(micro_net):
     def run():
         env = Environment()
         dev = CPUDevice(env, micro_net, functional=False)
-        env.run(until=dev.run_batch(None, batch=4))
+        env.run(until=env.process(dev._run(None, 4)))
         return env.now
 
     assert run() == run()
@@ -48,7 +48,7 @@ def test_jitter_spreads_batch_times(micro_net):
     def proc():
         for _ in range(20):
             t0 = env.now
-            yield dev.run_batch(None, batch=4)
+            yield from dev._run(None, 4)
             times.append(env.now - t0)
 
     env.run(until=env.process(proc()))

@@ -83,7 +83,7 @@ def test_launcher_gates_islands():
     chip = Myriad2(env)
     launcher = KernelLauncher(chip)
     env.run(until=launcher.launch(_kernel()))
-    assert not chip.islands.is_on("shave0")
+    assert not chip.islands._on["shave0"]
     assert chip.islands.energy_joules() > 0
 
 

@@ -31,48 +31,48 @@ def test_config_validation():
 
 def test_starts_at_ambient():
     m = ThermalModel()
-    assert m.temperature_c == 25.0
-    assert not m.throttled
+    assert m._temp == 25.0
+    assert not m._throttled
     assert m.frequency_scale() == 1.0
 
 
 def test_heats_toward_steady_state():
     m = ThermalModel()
     # 2.5 W at 20 C/W -> steady state 75 C.
-    assert m.steady_state_c(2.5) == 75.0
+    assert m.config.ambient_c + 2.5 * m.config.resistance_c_per_w == 75.0
     m.update(600.0, 2.5)  # ten time constants
-    assert m.temperature_c == pytest.approx(75.0, abs=0.1)
+    assert m._temp == pytest.approx(75.0, abs=0.1)
 
 
 def test_exponential_approach():
     m = ThermalModel()
     m.update(60.0, 2.5)  # one time constant
     # T = 75 + (25 - 75) e^-1 = 75 - 50/e ~ 56.6
-    assert m.temperature_c == pytest.approx(56.6, abs=0.2)
+    assert m._temp == pytest.approx(56.6, abs=0.2)
 
 
 def test_cools_when_idle():
     m = ThermalModel()
     m.update(600.0, 2.5)
-    hot = m.temperature_c
+    hot = m._temp
     m.update(1200.0, 0.0)
-    assert m.temperature_c < hot
-    assert m.temperature_c == pytest.approx(25.0, abs=0.2)
+    assert m._temp < hot
+    assert m._temp == pytest.approx(25.0, abs=0.2)
 
 
 def test_throttle_hysteresis():
     m = ThermalModel()
     m.update(600.0, 2.5)  # 75 C > 70 C threshold
-    assert m.throttled
+    assert m._throttled
     assert m.frequency_scale() == pytest.approx(0.6)
     assert m.throttle_events == 1
     # Cool a little, but stay above the 62 C recovery point.
     m.update(612.0, 0.0)
-    if m.temperature_c > 62.0:
-        assert m.throttled  # hysteresis holds
+    if m._temp > 62.0:
+        assert m._throttled  # hysteresis holds
     # Cool fully: recovers.
     m.update(1800.0, 0.0)
-    assert not m.throttled
+    assert not m._throttled
     assert m.frequency_scale() == 1.0
 
 
@@ -111,7 +111,7 @@ def test_cool_device_unthrottled(micro_graph):
     thermal = ThermalModel()
     times = _run_inferences(5, thermal, micro_graph)
     # Five micro inferences (~15 ms) cannot heat the stick.
-    assert not thermal.throttled
+    assert not thermal._throttled
     assert max(times) == pytest.approx(min(times), rel=1e-6)
 
 
@@ -122,7 +122,7 @@ def test_sustained_load_throttles(micro_graph):
                         recover_temp_c=50, throttle_scale=0.5)
     thermal = ThermalModel(cfg)
     times = _run_inferences(12, thermal, micro_graph)
-    assert thermal.throttled or thermal.throttle_events > 0
+    assert thermal._throttled or thermal.throttle_events > 0
     # Throttled inferences take ~2x the cold ones.
     assert max(times) > 1.5 * min(times)
 

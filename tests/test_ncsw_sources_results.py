@@ -190,12 +190,6 @@ def test_run_result_no_labels_raises():
         rr.top1_error()
 
 
-def test_run_result_confidences_only_correct():
-    rr = RunResult(source="s", target="t", batch_size=1)
-    rr.records = [_record(0, 1, 1, conf=0.8), _record(1, 1, 2, conf=0.7)]
-    np.testing.assert_allclose(rr.confidences(), [0.8])
-
-
 def test_run_result_per_device_counts():
     rr = RunResult(source="s", target="t", batch_size=4)
     rr.records = [_record(i, 0, 0, device=f"vpu{i % 2}")

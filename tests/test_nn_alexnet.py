@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import GraphError, ShapeError
 from repro.nn import AlexNetConfig, Convolution, build_alexnet, get_model
-from repro.nn.alexnet import alexnet_feature_blob
 from repro.nn.weights import WeightStore, initialize_network
 from repro.nn.zoo import model_entry
 from repro.tensors import BlobShape
@@ -69,14 +68,14 @@ def test_channel_mismatch_caught_in_shapes():
 def test_alexnet_matches_published_structure():
     net = get_model("alexnet")
     shapes = net.infer_shapes()
-    assert shapes["conv1"].as_tuple() == (1, 96, 55, 55)
-    assert shapes["pool1"].as_tuple() == (1, 96, 27, 27)
-    assert shapes["conv2"].as_tuple() == (1, 256, 27, 27)
-    assert shapes["pool2"].as_tuple() == (1, 256, 13, 13)
-    assert shapes["conv5"].as_tuple() == (1, 256, 13, 13)
-    assert shapes["pool5"].as_tuple() == (1, 256, 6, 6)
-    assert shapes["fc6"].as_tuple() == (1, 4096, 1, 1)
-    assert shapes["prob"].as_tuple() == (1, 1000, 1, 1)
+    assert shapes["conv1"] == BlobShape(1, 96, 55, 55)
+    assert shapes["pool1"] == BlobShape(1, 96, 27, 27)
+    assert shapes["conv2"] == BlobShape(1, 256, 27, 27)
+    assert shapes["pool2"] == BlobShape(1, 256, 13, 13)
+    assert shapes["conv5"] == BlobShape(1, 256, 13, 13)
+    assert shapes["pool5"] == BlobShape(1, 256, 6, 6)
+    assert shapes["fc6"] == BlobShape(1, 4096, 1, 1)
+    assert shapes["prob"] == BlobShape(1, 1000, 1, 1)
 
 
 def test_alexnet_param_and_mac_counts():
@@ -149,6 +148,6 @@ def test_alexnet_compiles_for_vpu():
 
 
 def test_alexnet_feature_blob_name():
-    assert alexnet_feature_blob() == "fc7"
+    assert model_entry("alexnet").feature_blob == "fc7"
     net = get_model("alexnet-mini")
     assert "fc7" in net.infer_shapes()

@@ -13,6 +13,7 @@ from repro.nn import (
     list_models,
 )
 from repro.nn.googlenet import INCEPTION_TABLE, feature_blob_name
+from repro.tensors import BlobShape
 from repro.nn.weights import WeightStore
 from repro.nn.zoo import model_entry
 
@@ -29,13 +30,13 @@ def test_inception_table_matches_szegedy():
 def test_paper_scale_shapes():
     net = build_googlenet()  # 224px, width 1.0
     shapes = net.infer_shapes()
-    assert shapes["conv1/7x7_s2"].as_tuple() == (1, 64, 112, 112)
-    assert shapes["pool2/3x3_s2"].as_tuple() == (1, 192, 28, 28)
-    assert shapes["inception_3a/output"].as_tuple() == (1, 256, 28, 28)
-    assert shapes["inception_4a/output"].as_tuple() == (1, 512, 14, 14)
-    assert shapes["inception_5b/output"].as_tuple() == (1, 1024, 7, 7)
-    assert shapes["pool5/drop_in"].as_tuple() == (1, 1024, 1, 1)
-    assert shapes["prob"].as_tuple() == (1, 1000, 1, 1)
+    assert shapes["conv1/7x7_s2"] == BlobShape(1, 64, 112, 112)
+    assert shapes["pool2/3x3_s2"] == BlobShape(1, 192, 28, 28)
+    assert shapes["inception_3a/output"] == BlobShape(1, 256, 28, 28)
+    assert shapes["inception_4a/output"] == BlobShape(1, 512, 14, 14)
+    assert shapes["inception_5b/output"] == BlobShape(1, 1024, 7, 7)
+    assert shapes["pool5/drop_in"] == BlobShape(1, 1024, 1, 1)
+    assert shapes["prob"] == BlobShape(1, 1000, 1, 1)
 
 
 def test_paper_scale_param_count():

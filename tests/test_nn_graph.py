@@ -59,8 +59,8 @@ def test_output_blob():
 def test_infer_shapes():
     net = _tiny_net()
     shapes = net.infer_shapes()
-    assert shapes["conv"].as_tuple() == (1, 3, 4, 4)
-    assert shapes["prob"].as_tuple() == (1, 3, 4, 4)
+    assert shapes["conv"] == BlobShape(1, 3, 4, 4)
+    assert shapes["prob"] == BlobShape(1, 3, 4, 4)
 
 
 def test_infer_shapes_with_batch():
@@ -157,4 +157,5 @@ def test_layer_costs_and_total_macs():
 
 def test_total_param_bytes_precision():
     net = _tiny_net()
-    assert net.total_param_bytes(4) == 2 * net.total_param_bytes(2)
+    assert (sum(layer.param_bytes(4) for layer in net.layers)
+            == 2 * sum(layer.param_bytes(2) for layer in net.layers))

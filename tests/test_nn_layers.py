@@ -38,7 +38,7 @@ def test_conv_shapes_and_params():
     conv = Convolution("c", "in", "out", num_output=8, kernel_size=3,
                        in_channels=4, stride=1, pad=1)
     out = conv.output_shapes([BlobShape(2, 4, 10, 10)])
-    assert out[0].as_tuple() == (2, 8, 10, 10)
+    assert out[0] == BlobShape(2, 8, 10, 10)
     assert conv.params["weight"].shape == (8, 4, 3, 3)
     assert conv.param_count() == 8 * 4 * 9 + 8
 
@@ -258,7 +258,7 @@ def test_inner_product_forward():
 def test_inner_product_shape_check():
     ip = InnerProduct("fc", "a", "b", num_output=2, num_input=12)
     assert ip.output_shapes(
-        [BlobShape(4, 3, 2, 2)])[0].as_tuple() == (4, 2, 1, 1)
+        [BlobShape(4, 3, 2, 2)])[0] == BlobShape(4, 2, 1, 1)
     with pytest.raises(ShapeError):
         ip.output_shapes([BlobShape(1, 3, 3, 3)])
 

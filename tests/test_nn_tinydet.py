@@ -1,9 +1,8 @@
 """TinyDet tests: the synthetic detector feeding workflow cascades.
 
-Pins the builder (shapes, zoo registration, VPU compilability), the
-pure decode path (logistic box decode, clamping, score ordering) and
-the seeded oracle that timing-only workflow runs rely on for
-byte-identical replay.
+Pins the builder (shapes, zoo registration, VPU compilability) and
+the seeded oracle that workflow runs rely on for byte-identical
+replay.
 """
 
 import numpy as np
@@ -14,9 +13,7 @@ from repro.nn.tinydet import (
     BOX_FIELDS,
     TinyDetConfig,
     build_tinydet,
-    decode_detections,
     seeded_detections,
-    tinydet_feature_blob,
 )
 from repro.nn.zoo import list_models, model_entry
 from repro.vpu import compile_graph
@@ -54,7 +51,7 @@ def test_zoo_registration():
     assert "tinydet" in list_models()
     assert "tinydet-micro" in list_models()
     entry = model_entry("tinydet")
-    assert entry.feature_blob == tinydet_feature_blob() == "pool2"
+    assert entry.feature_blob == "pool2"
     assert entry.classifier_layer == "det_head"
 
 
@@ -63,42 +60,6 @@ def test_tinydet_compiles_for_the_vpu():
         TinyDetConfig(input_size=32, num_boxes=3, width=0.5)))
     assert graph.layers
     assert graph.inference_seconds > 0.0
-
-
-# -- decode -----------------------------------------------------------------
-
-def test_decode_rejects_ragged_output():
-    with pytest.raises(GraphError):
-        decode_detections(np.zeros(7), input_size=64)
-
-
-def test_decode_is_pure_and_sorted():
-    rng = np.random.default_rng(0)
-    output = rng.normal(size=BOX_FIELDS * 4)
-    a = decode_detections(output, input_size=64)
-    b = decode_detections(output, input_size=64)
-    assert a == b
-    scores = [d.score for d in a]
-    assert scores == sorted(scores, reverse=True)
-
-
-def test_decode_boxes_stay_inside_the_frame():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        output = rng.normal(scale=4.0, size=BOX_FIELDS * 4)
-        for det in decode_detections(output, input_size=64):
-            assert 0.0 <= det.x and det.x + det.w <= 64.0 + 1e-9
-            assert 0.0 <= det.y and det.y + det.h <= 64.0 + 1e-9
-            assert det.w >= 64.0 / 8.0 and det.h >= 64.0 / 8.0
-            assert 0.0 <= det.score <= 1.0
-
-
-def test_decode_min_score_filters():
-    output = np.array([0.0, 0.0, 0.0, 0.0, -10.0,   # score ~ 0
-                       0.0, 0.0, 0.0, 0.0, +10.0])  # score ~ 1
-    kept = decode_detections(output, input_size=64, min_score=0.5)
-    assert len(kept) == 1
-    assert kept[0].score > 0.99
 
 
 # -- the seeded oracle ------------------------------------------------------

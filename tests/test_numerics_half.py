@@ -5,54 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.numerics import (
-    FP16_MAX,
-    FP16_MIN_NORMAL,
-    from_half,
-    is_representable_fp16,
-    round_fp16,
-    to_half,
-)
-from repro.numerics.half import (
-    FP16_EPS,
-    FP16_MIN_SUBNORMAL,
-    dynamic_range_bits,
-    quantization_error,
-)
+from repro.numerics import round_fp16
 
-
-def test_constants_match_ieee_binary16():
-    assert FP16_MAX == 65504.0
-    assert FP16_MIN_NORMAL == pytest.approx(2 ** -14)
-    assert FP16_MIN_SUBNORMAL == pytest.approx(2 ** -24)
-    assert FP16_EPS == pytest.approx(2 ** -10)
-
-
-def test_to_half_dtype():
-    out = to_half(np.array([1.0, 2.0]))
-    assert out.dtype == np.float16
+#: Smallest positive normal and subnormal binary16 values.
+FP16_MIN_NORMAL = 2.0 ** -14
+FP16_MIN_SUBNORMAL = 2.0 ** -24
 
 
 def test_round_trip_exact_for_small_integers():
     x = np.arange(-512, 513, dtype=np.float32)
-    assert np.array_equal(from_half(to_half(x)), x)
+    assert np.array_equal(round_fp16(x), x)
 
 
 def test_overflow_to_inf_without_saturation():
-    out = to_half(np.array([1e6, -1e6], dtype=np.float32))
+    out = round_fp16(np.array([1e6, -1e6], dtype=np.float32))
     assert np.isinf(out[0]) and out[0] > 0
     assert np.isinf(out[1]) and out[1] < 0
-
-
-def test_saturating_mode_clamps():
-    out = to_half(np.array([1e6, -1e6], dtype=np.float32), saturate=True)
-    assert out[0] == np.float16(FP16_MAX)
-    assert out[1] == np.float16(-FP16_MAX)
-
-
-def test_saturating_mode_passes_nan():
-    out = to_half(np.array([np.nan], dtype=np.float32), saturate=True)
-    assert np.isnan(out[0])
 
 
 def test_round_fp16_idempotent():
@@ -68,37 +36,34 @@ def test_round_fp16_returns_float32():
 def test_round_to_nearest_even():
     # 2049 is exactly between fp16-representable 2048 and 2050;
     # ties go to the even significand (2048).
-    assert float(to_half(np.float32(2049.0))) == 2048.0
+    assert float(round_fp16(np.float32(2049.0))) == 2048.0
     # 2051 is between 2050 and 2052 -> even is 2052.
-    assert float(to_half(np.float32(2051.0))) == 2052.0
+    assert float(round_fp16(np.float32(2051.0))) == 2052.0
 
 
 def test_is_representable():
-    assert is_representable_fp16(1.0)
-    assert is_representable_fp16(0.5)
-    assert is_representable_fp16(65504.0)
-    assert not is_representable_fp16(1e-10)  # underflows to 0
-    assert not is_representable_fp16(0.1)    # not a dyadic rational
-    assert not is_representable_fp16(1e6)    # overflows to inf
-    assert is_representable_fp16(float("nan"))
+    def representable(v):
+        return round_fp16(np.float32(v)) == np.float32(v)
+
+    assert representable(1.0)
+    assert representable(0.5)
+    assert representable(65504.0)
+    assert not representable(1e-10)  # underflows to 0
+    assert not representable(0.1)    # not a dyadic rational
+    assert not representable(1e6)    # overflows to inf
+    assert np.isnan(round_fp16(np.float32("nan")))
 
 
 def test_quantization_error_zero_for_representable():
     x = np.array([0.0, 1.0, -2.5, 1024.0], dtype=np.float32)
-    assert np.all(quantization_error(x) == 0)
+    assert np.array_equal(round_fp16(x), x)
 
 
 def test_quantization_error_bounded_by_half_ulp():
     rng = np.random.default_rng(1)
     x = rng.uniform(1.0, 2.0, size=1000).astype(np.float32)
     # In [1, 2), fp16 ULP is 2^-10; round-to-nearest error <= half ULP.
-    assert np.all(quantization_error(x) <= 2 ** -11 + 1e-12)
-
-
-def test_dynamic_range_bits():
-    x = np.array([1.0, 1024.0])
-    assert dynamic_range_bits(x) == pytest.approx(10.0)
-    assert dynamic_range_bits(np.zeros(4)) == 0.0
+    assert np.all(np.abs(x - round_fp16(x)) <= 2 ** -11 + 1e-12)
 
 
 @given(st.floats(min_value=-60000, max_value=60000,

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.numerics import RunningStats, confidence_interval, mean_std
-from repro.numerics.stats import relative_change
+from repro.numerics import RunningStats
 
 
 def test_empty_stats_raise():
@@ -70,46 +69,6 @@ def test_merge_with_empty():
     m = a.merge(b)
     assert m.n == 3
     assert m.mean == 2.0
-
-
-def test_mean_std_helper():
-    m, s = mean_std([2.0, 4.0, 6.0])
-    assert m == 4.0
-    assert s == pytest.approx(2.0)
-
-
-def test_confidence_interval_contains_mean():
-    lo, hi = confidence_interval([1, 2, 3, 4, 5], level=0.95)
-    assert lo < 3 < hi
-
-
-def test_confidence_interval_narrows_with_n():
-    rng = np.random.default_rng(11)
-    small = rng.normal(0, 1, 10)
-    large = rng.normal(0, 1, 10000)
-    lo_s, hi_s = confidence_interval(small)
-    lo_l, hi_l = confidence_interval(large)
-    assert (hi_l - lo_l) < (hi_s - lo_s)
-
-
-def test_confidence_interval_bad_level():
-    with pytest.raises(ValueError):
-        confidence_interval([1, 2], level=0.5)
-
-
-def test_relative_change():
-    # Paper: CPU (44.0 img/s) is 40.7% slower than the 8-VPU rig (77.2).
-    assert relative_change(44.0, 77.2) == pytest.approx(-0.43, abs=0.01)
-    with pytest.raises(ValueError):
-        relative_change(1.0, 0.0)
-
-
-def test_sem_decreases_with_n():
-    rs = RunningStats()
-    rs.extend([1.0, 2.0, 3.0])
-    sem3 = rs.sem
-    rs.extend([1.0, 2.0, 3.0] * 10)
-    assert rs.sem < sem3
 
 
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from repro.numerics import (
     Precision,
     PrecisionPolicy,
-    max_abs_error,
     relative_error,
     ulp_distance,
 )
-from repro.numerics.ulp import mean_abs_error
 
 
 def test_ulp_zero_for_identical():
@@ -52,13 +50,6 @@ def test_relative_error():
 def test_relative_error_near_zero_uses_eps():
     err = relative_error(np.array([1e-13]), np.array([0.0]))
     assert np.isfinite(err[0])
-
-
-def test_max_and_mean_abs_error():
-    a = np.array([1.0, 2.0, 3.0])
-    b = np.array([1.0, 2.5, 2.0])
-    assert max_abs_error(a, b) == 1.0
-    assert mean_abs_error(a, b) == pytest.approx(0.5)
 
 
 def test_precision_enum_dtypes():

@@ -17,11 +17,9 @@ from repro.ncsw import IntelVPU, NCSw, SyntheticSource
 from repro.nn import get_model
 from repro.nn.weights import initialize_network
 from repro.obs import (
-    NULL_TRACER,
     Counter,
     Gauge,
     Histogram,
-    NullTracer,
     ObsSession,
     Tracer,
     TracerClock,
@@ -195,15 +193,6 @@ def test_rebind_concatenates_runs_on_one_timeline():
         assert span.start == pytest.approx(expected_offset)
         assert span.end == pytest.approx(expected_offset + 5)
     assert tracer.extent == pytest.approx(10.0)
-
-
-def test_null_tracer_refuses_enable():
-    assert isinstance(NULL_TRACER, NullTracer)
-    assert not NULL_TRACER.enabled
-    with pytest.raises(ObservabilityError):
-        NULL_TRACER.enable()
-    assert NULL_TRACER.begin("x") is None
-    assert len(NULL_TRACER) == 0
 
 
 # -- metrics ---------------------------------------------------------------

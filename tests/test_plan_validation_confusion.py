@@ -1,10 +1,8 @@
-"""Tests for memory-plan validation and the confusion matrix."""
+"""Tests for memory-plan validation."""
 
-import numpy as np
 import pytest
 
-from repro.errors import CompileError, FrameworkError
-from repro.ncsw.results import InferenceRecord, RunResult
+from repro.errors import CompileError
 from repro.nn import build_googlenet, get_model
 from repro.nn.weights import initialize_network
 from repro.vpu import compile_graph
@@ -48,56 +46,3 @@ def test_validation_catches_impossible_budget():
     g = compile_graph(net, cmx_bytes=16 * 1024 * 1024)
     with pytest.raises(CompileError):
         validate_plan(g)
-
-
-# --- confusion matrix ---------------------------------------------------------------
-
-def _rec(label, predicted, idx=0):
-    return InferenceRecord(index=idx, image_id=idx + 1, label=label,
-                           predicted=predicted, confidence=0.5,
-                           device="d", t_submit=0, t_complete=1)
-
-
-def test_confusion_matrix_counts():
-    rr = RunResult(source="s", target="t", batch_size=1)
-    rr.records = [_rec(0, 0, 0), _rec(0, 1, 1), _rec(1, 1, 2),
-                  _rec(1, 1, 3), _rec(None, None, 4)]
-    m = rr.confusion_matrix(2)
-    np.testing.assert_array_equal(m, [[1, 1], [0, 2]])
-    # Diagonal sum equals top-1 hits.
-    scored = [r for r in rr.records if r.correct is not None]
-    hits = sum(1 for r in scored if r.correct)
-    assert m.trace() == hits
-
-
-def test_confusion_matrix_validation():
-    rr = RunResult(source="s", target="t", batch_size=1)
-    rr.records = [_rec(5, 0)]
-    with pytest.raises(FrameworkError):
-        rr.confusion_matrix(2)
-    with pytest.raises(FrameworkError):
-        rr.confusion_matrix(0)
-
-
-def test_confusion_matrix_end_to_end():
-    from repro.data import ILSVRCValidation, ImageSynthesizer, \
-        Preprocessor, SynsetVocabulary
-    from repro.ncsw import ImageFolder, IntelCPU, NCSw
-    from repro.nn.weights import WeightStore
-
-    net = get_model("googlenet-micro")
-    synth = ImageSynthesizer(num_classes=10, size=32, noise_sigma=25,
-                             jitter_shift=0)
-    pp = Preprocessor(input_size=32)
-    WeightStore(seed=0).pretrain(
-        net, lambda c: pp(synth.template(c)), num_classes=10)
-    ds = ILSVRCValidation(SynsetVocabulary(num_classes=10), synth,
-                          num_images=30, subset_size=30)
-    fw = NCSw()
-    fw.add_source("v", ImageFolder(ds, 0, pp))
-    fw.add_target("cpu", IntelCPU(net))
-    run = fw.run("v", "cpu", batch_size=8)
-    m = run.confusion_matrix(10)
-    assert m.sum() == 30
-    # Accuracy from the matrix equals 1 - top1_error.
-    assert m.trace() / m.sum() == pytest.approx(1 - run.top1_error())

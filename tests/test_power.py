@@ -5,7 +5,6 @@ import pytest
 from repro.errors import PowerError
 from repro.power import (
     DEFAULT_TDP,
-    EnergyAccount,
     TDP,
     TDPRegistry,
     tdp_reduction,
@@ -65,26 +64,3 @@ def test_tdp_reduction_headline():
     assert tdp_reduction(80.0, 8 * 2.5) == pytest.approx(4.0)
     with pytest.raises(PowerError):
         tdp_reduction(0, 1)
-
-
-def test_energy_account():
-    acct = EnergyAccount()
-    acct.add("vpu", 2.5, 10.0)
-    acct.add("cpu", 80.0, 1.0)
-    acct.add("vpu", 2.5, 2.0)
-    assert acct.joules == pytest.approx(25 + 80 + 5)
-    by = acct.by_label()
-    assert by["vpu"] == pytest.approx(30)
-    assert by["cpu"] == pytest.approx(80)
-    assert acct.images_per_joule(110) == pytest.approx(1.0)
-
-
-def test_energy_account_validation():
-    acct = EnergyAccount()
-    with pytest.raises(PowerError):
-        acct.add("x", -1, 1)
-    with pytest.raises(PowerError):
-        acct.images_per_joule(10)
-    acct.add("x", 1, 1)
-    with pytest.raises(PowerError):
-        acct.images_per_joule(-1)

@@ -70,8 +70,8 @@ def test_property_compiled_graph_roundtrip_preserves_timing(net):
     g2 = CompiledGraph.from_bytes(g.to_bytes())
     assert g2.total_cycles == g.total_cycles
     assert g2.input_shape == g.input_shape
-    x = np.zeros((1,) + net.input_shape.as_tuple()[1:],
-                 dtype=np.float32)
+    s = net.input_shape
+    x = np.zeros((1, s.c, s.h, s.w), dtype=np.float32)
     np.testing.assert_array_equal(g.network.forward(x),
                                   g2.network.forward(x))
 

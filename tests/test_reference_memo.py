@@ -62,7 +62,7 @@ def _run(device, images):
 
 
 def _outcomes(result):
-    return [(r.index, r.predicted, r.confidence, r.topk)
+    return [(r.index, r.predicted, r.confidence)
             for r in result.records]
 
 

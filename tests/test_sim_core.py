@@ -331,14 +331,6 @@ def test_run_until_event_never_fires_deadlocks():
         env.run(until=ev)
 
 
-def test_peek_reports_next_event_time():
-    env = Environment()
-    env.timeout(7)
-    assert env.peek() == 7
-    env2 = Environment()
-    assert env2.peek() == float("inf")
-
-
 def test_is_alive_lifecycle():
     env = Environment()
 

@@ -136,10 +136,10 @@ def test_trace_recorder_emit_and_query():
     env.process(proc())
     env.run()
     assert len(tr) == 3
-    loads = tr.by_action("load_tensor")
+    loads = [e for e in tr.events if e.action == "load_tensor"]
     assert len(loads) == 2
     assert loads[0].time == 0 and loads[0].detail["nbytes"] == 1000
-    assert len(tr.by_actor("vpu0")) == 2
+    assert len([e for e in tr.events if e.actor == "vpu0"]) == 2
 
 
 def test_trace_recorder_disable():

@@ -1,8 +1,8 @@
-"""Unit tests for DES resources: Resource, PriorityResource, Store."""
+"""Unit tests for DES resources: Resource, Store."""
 
 import pytest
 
-from repro.sim import Environment, PriorityResource, Resource, Store
+from repro.sim import Environment, Resource, Store
 
 
 def test_resource_capacity_validation():
@@ -87,53 +87,6 @@ def test_resource_count_property():
     assert res.count == 2
 
 
-def test_priority_resource_serves_lowest_priority_first():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder():
-        with res.request() as req:
-            yield req
-            yield env.timeout(5)
-
-    def user(name, priority):
-        yield env.timeout(1)
-        with res.request(priority=priority) as req:
-            yield req
-            order.append(name)
-
-    env.process(holder())
-    env.process(user("low", 10))
-    env.process(user("high", 0))
-    env.process(user("mid", 5))
-    env.run()
-    assert order == ["high", "mid", "low"]
-
-
-def test_priority_resource_fifo_within_priority():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder():
-        with res.request() as req:
-            yield req
-            yield env.timeout(5)
-
-    def user(name):
-        yield env.timeout(1)
-        with res.request(priority=1) as req:
-            yield req
-            order.append(name)
-
-    env.process(holder())
-    for name in "xyz":
-        env.process(user(name))
-    env.run()
-    assert order == list("xyz")
-
-
 def test_store_put_get_fifo():
     env = Environment()
     store = Store(env)
@@ -193,46 +146,6 @@ def test_store_capacity_blocks_put():
     env.process(consumer())
     env.run()
     assert put_done == [0, 5]
-
-
-def test_store_filtered_get():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def producer():
-        for tag in ("red", "blue", "red"):
-            yield store.put(tag)
-
-    def consumer():
-        item = yield store.get(filter=lambda x: x == "blue")
-        got.append(item)
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert got == ["blue"]
-    assert store.items == ["red", "red"]
-
-
-def test_store_filtered_get_waits_for_match():
-    env = Environment()
-    store = Store(env)
-    got_at = []
-
-    def consumer():
-        yield store.get(filter=lambda x: x == 42)
-        got_at.append(env.now)
-
-    def producer():
-        yield store.put(1)
-        yield env.timeout(3)
-        yield store.put(42)
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert got_at == [3]
 
 
 def test_store_len_tracks_items():

@@ -10,15 +10,16 @@ from repro.nn.zoo import get_model
 def test_layer_costs_param_bytes_agree_with_total_param_bytes():
     """``layer_costs`` must honour the precision it is asked for
     (regression: ``LayerCost.param_bytes`` was always built at the
-    4-byte default, disagreeing with ``total_param_bytes(2)`` and
-    double-counting FP16-tier bytes in the partitioner)."""
+    4-byte default, disagreeing with the layers' own 2-byte
+    ``param_bytes`` and double-counting FP16-tier bytes in the
+    partitioner)."""
     net = get_model("googlenet-micro")
     fp16 = net.layer_costs(bytes_per_element=2)
     assert (sum(c.param_bytes for c in fp16)
-            == net.total_param_bytes(bytes_per_element=2))
+            == sum(layer.param_bytes(2) for layer in net.layers))
     fp32 = net.layer_costs()
     assert (sum(c.param_bytes for c in fp32)
-            == net.total_param_bytes(bytes_per_element=4))
+            == sum(layer.param_bytes(4) for layer in net.layers))
     # FP16 params are exactly half the FP32 footprint.
     assert (2 * sum(c.param_bytes for c in fp16)
             == sum(c.param_bytes for c in fp32))

@@ -21,7 +21,7 @@ def test_blobshape_count_and_bytes():
     s = BlobShape(8, 3, 224, 224)
     assert s.count == 8 * 3 * 224 * 224
     assert s.nbytes(2) == s.count * 2
-    assert s.as_tuple() == (8, 3, 224, 224)
+    assert (s.n, s.c, s.h, s.w) == (8, 3, 224, 224)
     assert str(s) == "8x3x224x224"
 
 

@@ -152,8 +152,8 @@ def test_compile_graph_structure():
     assert len(g.layers) == 2
     assert g.layers[0].fused == "relu"
     assert len(compile_graph(net, fuse_relu=False).layers) == 3
-    assert g.input_shape.as_tuple() == (1, 3, 16, 16)
-    assert g.output_shape.as_tuple() == (1, 8, 16, 16)
+    assert g.input_shape == BlobShape(1, 3, 16, 16)
+    assert g.output_shape == BlobShape(1, 8, 16, 16)
     assert g.total_cycles > 0
     assert g.inference_seconds > 0
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import AllocationError, PowerError, SimulationError
 from repro.sim import Environment
-from repro.units import GHZ, KiB, MHZ
+from repro.units import KiB, MHZ
 from repro.vpu import (
     CMXMemory,
     Clock,
@@ -26,7 +26,6 @@ from repro.vpu.sipp import SIPP_FILTERS
 def test_clock_roundtrip():
     c = Clock(600 * MHZ)
     assert c.to_seconds(600e6) == pytest.approx(1.0)
-    assert c.to_cycles(0.5) == pytest.approx(300e6)
     assert c.period == pytest.approx(1 / 600e6)
 
 
@@ -50,7 +49,7 @@ def test_cmx_alloc_single_slice():
     blocks = cmx.alloc(1000, tag="weights")
     assert len(blocks) == 1
     assert cmx.used == 1000
-    assert cmx.slice_used(0) == 1000
+    assert cmx._slices[0].used == 1000
     cmx.free_blocks(blocks)
     assert cmx.used == 0
 
@@ -129,11 +128,14 @@ def test_ddr_alloc_release():
 
 
 def test_ddr_transfer_accounting():
+    env = Environment()
     ddr = DDRChannel()
-    t = ddr.read_seconds(4e9)
-    assert t == pytest.approx(1.0 + ddr.latency)
-    assert ddr.bytes_read == 4e9
-    ddr.write_seconds(1000)
+    dma = DMAEngine(ddr)
+    dma.bind(env)
+    dma.transfer(4_000_000)
+    dma.transfer(1000, to_ddr=True)
+    env.run()
+    assert ddr.bytes_read == 4_000_000
     assert ddr.bytes_written == 1000
 
 
@@ -269,7 +271,7 @@ def test_sipp_one_pixel_per_cycle():
 
 
 def test_sipp_unknown_filter():
-    sipp = SIPPPipeline(freq_hz=1 * GHZ)
+    sipp = SIPPPipeline(freq_hz=1000 * MHZ)
     with pytest.raises(SimulationError):
         sipp.filter_seconds("nope", 10, 10)
 
@@ -312,7 +314,7 @@ def test_sipp_distinct_filters_run_concurrently():
 
 
 def test_sipp_requires_bind():
-    sipp = SIPPPipeline(freq_hz=1 * GHZ)
+    sipp = SIPPPipeline(freq_hz=1000 * MHZ)
     with pytest.raises(SimulationError):
         sipp.run_filter("harris", 10, 10)
 
@@ -328,7 +330,8 @@ def test_islands_count_is_twenty():
 def test_islands_peak_near_chip_tdp():
     env = Environment()
     p = PowerIslands(env)
-    assert 0.85 <= p.peak_power() <= 0.95  # ~0.9 W Myriad 2 TDP
+    # All islands on: ~0.9 W, the Myriad 2 TDP.
+    assert 0.85 <= sum(p.islands.values()) <= 0.95
 
 
 def test_island_gating():
@@ -376,7 +379,7 @@ def test_gating_several_islands_records_one_sample():
     with pytest.raises(PowerError):
         batched.power_off("shave0", "always_on")
     # A rejected call changes no island.
-    assert not batched.is_on("shave0")
+    assert not batched._on["shave0"]
 
 
 def test_energy_integration():
@@ -384,9 +387,9 @@ def test_energy_integration():
     p = PowerIslands(env)
 
     def proc():
-        p.power_on_all()
+        p.power_on(*p.islands)
         yield env.timeout(10)
-        p.power_off_all()
+        p.power_off(*(name for name in p.islands if name != "always_on"))
         yield env.timeout(10)
 
     env.process(proc())
@@ -394,13 +397,3 @@ def test_energy_integration():
     energy = p.energy_joules()
     # 10 s at ~0.9 W plus 10 s mostly gated.
     assert 9.0 < energy < 11.0
-
-
-def test_power_on_all_off_all():
-    env = Environment()
-    p = PowerIslands(env)
-    p.power_on_all()
-    assert p.current_power() == pytest.approx(p.peak_power())
-    p.power_off_all()
-    assert p.is_on("always_on")
-    assert not p.is_on("shave5")
