@@ -24,9 +24,6 @@ class CPUDevice(InferenceDevice):
     name = "cpu"
     #: TDP of the Xeon E5-2609v2 (the paper's §V figure).
     tdp_watts = 80.0
-    cores = 8
-    freq_hz = 2.5e9
-    sockets = 2
 
     def __init__(self, env: Environment, network: Network,
                  latency_model: BatchLatencyModel = CPU_LATENCY,

@@ -23,8 +23,6 @@ class GPUDevice(InferenceDevice):
     name = "gpu"
     #: Board power of the Quadro K4000 (the paper's §V figure).
     tdp_watts = 80.0
-    cuda_cores = 768
-    freq_hz = 810e6
 
     def __init__(self, env: Environment, network: Network,
                  latency_model: BatchLatencyModel = GPU_LATENCY,

@@ -67,27 +67,3 @@ class SyncSession:
         """One blocking inference: load_tensor + get_result."""
         self.env.run(until=graph.load_tensor(tensor, user=user))
         return self.env.run(until=graph.get_result())
-
-    def infer_batch(self, graph: GraphHandle,
-                    tensors: list[Optional[np.ndarray]]
-                    ) -> list[np.ndarray]:
-        """Pipeline a list of tensors through one stick.
-
-        Uses the device FIFO for load/execute overlap (the Listing-1
-        pattern) while staying synchronous at the call boundary.
-        """
-        if not tensors:
-            raise NCAPIError("infer_batch needs at least one tensor")
-        results: list[np.ndarray] = []
-
-        def pipeline():
-            yield from graph.load_tensor_inline(tensors[0], user=0)
-            for i, tensor in enumerate(tensors[1:], start=1):
-                yield from graph.load_tensor_inline(tensor, user=i)
-                result, _ = yield from graph.get_result_inline()
-                results.append(result)
-            result, _ = yield from graph.get_result_inline()
-            results.append(result)
-
-        self.env.run(until=self.env.process(pipeline()))
-        return results

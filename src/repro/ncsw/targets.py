@@ -60,13 +60,6 @@ class TargetDevice:
         """Bring the target up (boot, graph allocation...)."""
         raise NotImplementedError
 
-    def process_batch(self, items: list[WorkItem]) -> Event:
-        """Process a batch as its own process (event value: the list
-        of records), for callers that do not wait on it at once."""
-        if self._env is None:
-            raise FrameworkError(f"{self.name}: prepare() not called")
-        return self._env.process(self.execute(items))
-
     def execute(self, items: list[WorkItem]
                 ) -> Generator[Event, None, list[InferenceRecord]]:
         """Process a batch inline (a generator body the waiting caller

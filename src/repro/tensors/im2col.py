@@ -2,18 +2,20 @@
 
 Convolutions are lowered to GEMM by unfolding input patches into a
 matrix — the strategy used by Caffe (and by the NCSDK's SHAVE kernels
-for large filters).  The implementation is fully vectorised: patch
-indices are computed once with broadcasting and the gather is a single
-``take`` over the flattened padded input.
+for large filters).  The patch matrix is a strided window view of the
+padded input: a read-only ``(N, C, K, K, OH, OW)`` view whose last two
+strides step the window by ``stride`` rows and columns, reshaped to
+``(N, C*K*K, OH*OW)``.  The reshape copies only where the window
+layout demands it; a 1x1, stride-1, unpadded convolution gets a view
+of its input and copies nothing.
 
 Hot-path design (this module sits under every functional forward):
 
-* Patch index arrays depend only on ``(c, h, w, kernel, stride, pad)``
-  and are cached in a bounded LRU (Caffe computes its im2col buffer
-  geometry once per layer for the same reason).
 * Padded inputs are staged into a reusable per-shape scratch buffer —
   the zero border is written once when the buffer is created and only
   the interior is refreshed per call, replacing a full ``np.pad``.
+  That buffer is the only cache here: the window geometry is a handful
+  of strides, so nothing about it needs caching.
 * :func:`conv2d_gemm` preallocates the GEMM output and folds the bias
   add into it, keeping the whole lowering at two materialised
   temporaries (patch matrix + output).
@@ -24,64 +26,21 @@ from __future__ import annotations
 from collections import OrderedDict
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.errors import ShapeError
 from repro.tensors.layout import conv_output_hw
 
-#: Bounded LRU sizes.  GoogLeNet at paper geometry has ~60 distinct
-#: convolution configurations; 128 holds every network in the zoo
-#: without thrash while bounding memory on pathological workloads.
-_INDEX_CACHE_SIZE = 128
-#: Scratch buffers are heavier (one padded activation tensor each),
-#: so keep fewer of them.
+#: Bounded LRU size.  Each scratch buffer is one padded activation
+#: tensor, so keep few of them.
 _SCRATCH_CACHE_SIZE = 16
 
-_index_cache: OrderedDict[tuple, tuple[np.ndarray, int, int]] = \
-    OrderedDict()
 _scratch_cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
 
 
 def clear_patch_caches() -> None:
-    """Drop cached patch indices and scratch buffers (for tests)."""
-    _index_cache.clear()
+    """Drop the cached scratch buffers (for tests and benchmarks)."""
     _scratch_cache.clear()
-
-
-def _flat_patch_indices(c: int, h: int, w: int, kernel: int,
-                        stride: int, pad: int
-                        ) -> tuple[np.ndarray, int, int]:
-    """Cached flat indices into the flattened padded (C, HP, WP) volume.
-
-    Returns ``(flat, out_h, out_w)`` where ``flat`` has shape
-    ``(C*K*K, OH*OW)`` and indexes ``x_padded.reshape(n, -1)``.
-    """
-    key = (c, h, w, kernel, stride, pad)
-    cached = _index_cache.get(key)
-    if cached is not None:
-        _index_cache.move_to_end(key)
-        return cached
-
-    out_h, out_w = conv_output_hw(h, w, kernel, stride, pad)
-    hp, wp = h + 2 * pad, w + 2 * pad
-
-    # Row index of each element within a patch, replicated per channel.
-    i0 = np.repeat(np.arange(kernel), kernel)
-    i0 = np.tile(i0, c)
-    i1 = stride * np.repeat(np.arange(out_h), out_w)
-    j0 = np.tile(np.arange(kernel), kernel * c)
-    j1 = stride * np.tile(np.arange(out_w), out_h)
-
-    rows = i0.reshape(-1, 1) + i1.reshape(1, -1)
-    cols = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    chans = np.repeat(np.arange(c), kernel * kernel).reshape(-1, 1)
-    flat = (chans * hp + rows) * wp + cols
-    if flat.size and int(flat.max()) < np.iinfo(np.int32).max:
-        flat = flat.astype(np.int32)  # halves cache memory
-
-    _index_cache[key] = (flat, out_h, out_w)
-    while len(_index_cache) > _INDEX_CACHE_SIZE:
-        _index_cache.popitem(last=False)
-    return flat, out_h, out_w
 
 
 def _padded_input(x: np.ndarray, pad: int) -> np.ndarray:
@@ -89,9 +48,9 @@ def _padded_input(x: np.ndarray, pad: int) -> np.ndarray:
 
     The border is zeroed exactly once, when the buffer is allocated:
     every call overwrites only the interior, so the invariant holds
-    across reuses.  Callers must copy out of the buffer (the im2col
-    gather does) — the same buffer is returned for every call with
-    this shape and dtype.
+    across reuses.  Callers must copy out of the buffer (:func:`im2col`
+    does) — the same buffer is returned for every call with this shape
+    and dtype.
     """
     n, c, h, w = x.shape
     key = (n, c, h, w, pad, x.dtype.str)
@@ -109,15 +68,26 @@ def _padded_input(x: np.ndarray, pad: int) -> np.ndarray:
 
 def im2col(x: np.ndarray, kernel: int, stride: int,
            pad: int) -> np.ndarray:
-    """Unfold NCHW input into a (N, C*K*K, OH*OW) patch matrix."""
+    """Unfold NCHW input into a (N, C*K*K, OH*OW) patch matrix.
+
+    The result may be a read-only view of *x* (1x1, stride 1, no
+    padding); it never shares memory with the padded scratch buffer.
+    """
     if x.ndim != 4:
         raise ShapeError(f"im2col expects NCHW input, got ndim={x.ndim}")
     n, c, h, w = x.shape
-    flat, _, _ = _flat_patch_indices(c, h, w, kernel, stride, pad)
+    out_h, out_w = conv_output_hw(h, w, kernel, stride, pad)
     xp = _padded_input(x, pad) if pad > 0 else x
-    flat_view = np.ascontiguousarray(xp).reshape(n, -1)
-    return flat_view.take(flat.ravel(), axis=1).reshape(
-        n, flat.shape[0], flat.shape[1])
+    sn, sc, sh, sw = xp.strides
+    windows = as_strided(
+        xp, shape=(n, c, kernel, kernel, out_h, out_w),
+        strides=(sn, sc, sh, sw, stride * sh, stride * sw),
+        writeable=False)
+    cols = windows.reshape(n, c * kernel * kernel, out_h * out_w)
+    if pad > 0 and np.may_share_memory(cols, xp):
+        # The next call with this shape overwrites the buffer.
+        cols = cols.copy()
+    return cols
 
 
 def conv2d_gemm(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,

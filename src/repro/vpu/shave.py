@@ -118,9 +118,3 @@ class ShaveProcessor:
             raise SimulationError("negative cycle count")
         self.busy_cycles += cycles
         self.kernels_run += kernels
-
-    def utilization(self, total_cycles: int) -> float:
-        """Busy fraction over a window of *total_cycles*."""
-        if total_cycles <= 0:
-            return 0.0
-        return min(1.0, self.busy_cycles / total_cycles)

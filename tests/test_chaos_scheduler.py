@@ -173,13 +173,13 @@ def test_stick_dying_between_batches_fails_over_without_a_plan(
     env = Environment()
     vpu = IntelVPU(graph=chaos_graph, num_devices=4, functional=False)
     env.run(until=vpu.prepare(env))
-    first = env.run(until=vpu.process_batch(
-        [WorkItem(i, i, None) for i in range(8)]))
+    first = env.run(until=env.process(vpu.execute(
+        [WorkItem(i, i, None) for i in range(8)])))
     assert {r.device for r in first} == {"vpu0", "vpu1", "vpu2", "vpu3"}
     victim = vpu.api.devices[2]
     victim.mark_dead("death", "unplugged between batches")
-    second = env.run(until=vpu.process_batch(
-        [WorkItem(i, i, None) for i in range(8, 16)]))
+    second = env.run(until=env.process(vpu.execute(
+        [WorkItem(i, i, None) for i in range(8, 16)])))
     assert sorted(r.index for r in second) == list(range(8, 16))
     assert {r.device for r in second} == {"vpu0", "vpu1", "vpu3"}
     stats = vpu.fault_stats()

@@ -24,8 +24,8 @@ def test_vpu_batch_event_budget(chaos_graph):
     target = IntelVPU(graph=chaos_graph, num_devices=2, functional=False)
     env.run(until=target.prepare(env))
     before = env._seq
-    records = env.run(until=target.process_batch(
-        [WorkItem(i, i, None, None) for i in range(ITEMS)]))
+    records = env.run(until=env.process(target.execute(
+        [WorkItem(i, i, None, None) for i in range(ITEMS)])))
     assert len(records) == ITEMS
     # ~10 events per item: two USB transfers (lock grant + wire time
     # each), a put and a get at each of the two FIFOs, and the SHAVE

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.ncs import NCAPI, paper_testbed_topology
-from repro.ncs.session import SyncSession
 from repro.ncsw import FaultPlan, IntelVPU, NCSw, SyntheticSource
 from repro.nn import get_model
 from repro.nn.weights import initialize_network
@@ -107,14 +106,15 @@ def test_waves_batch_the_sticks(micro_graph, monkeypatch):
 
 
 def test_results_are_those_of_the_collected_tensor(micro_graph):
-    # Two tensors queued on one stick: the first collect computes only
-    # the inference that has started; both results are per-image bits.
-    x = _images(2, seed=4)
-    sess = SyncSession(num_devices=1)
-    graph = sess.allocate(sess.open_device(0), micro_graph)
-    got = sess.infer_batch(graph, [x[0], x[1]])
-    want = _fp16_rows(micro_graph, x)
-    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    # One stick keeps the next tensor queued while it collects the
+    # current one: each collect computes only the inference that has
+    # started, and every record is that image's own result.
+    x = _images(4, seed=4)
+    result, target = _vpu_run(micro_graph, x, devices=1)
+    got = {r.image_id: (r.predicted, r.confidence)
+           for r in result.records}
+    assert got == _expected(micro_graph, x)
+    assert _pending(target) == 0
 
 
 def test_killed_stick_leaves_no_pending_entry(micro_graph):

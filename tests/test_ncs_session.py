@@ -50,21 +50,6 @@ def test_clock_advances_per_inference(micro_graph):
     assert sess.now - t0 >= micro_graph.inference_seconds
 
 
-def test_infer_batch_pipelines(micro_graph):
-    sess = SyncSession(num_devices=1, functional=False)
-    dev = sess.open_device(0)
-    graph = sess.allocate(dev, micro_graph)
-    t0 = sess.now
-    results = sess.infer_batch(graph, [None] * 6)
-    assert len(results) == 6
-    elapsed = sess.now - t0
-    # Pipelined: the 6 inferences cost ~6 inference times (transfers
-    # hidden), not 6 x (transfer + inference) serialised.
-    assert elapsed < 6 * micro_graph.inference_seconds * 1.15
-    with pytest.raises(NCAPIError):
-        sess.infer_batch(graph, [])
-
-
 def test_custom_topology_must_share_env(micro_graph):
     other_env = Environment()
     topo = USBTopology(other_env)

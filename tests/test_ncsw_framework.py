@@ -14,8 +14,10 @@ from repro.ncsw import (
     NvGPU,
     SyntheticSource,
 )
+from repro.ncsw.sources import WorkItem
 from repro.nn import get_model
 from repro.nn.weights import WeightStore
+from repro.sim import Environment
 from repro.vpu import compile_graph
 
 
@@ -135,6 +137,19 @@ def test_overlap_beats_serialized(micro_setup, micro_graph):
     assert t_ov < t_ser  # transfer/compute overlap pays
 
 
+def test_one_stick_pipelines_a_batch(micro_graph):
+    env = Environment()
+    target = IntelVPU(graph=micro_graph, num_devices=1, functional=False)
+    env.run(until=target.prepare(env))
+    t0 = env.now
+    records = env.run(until=env.process(target.execute(
+        [WorkItem(i, i, None) for i in range(6)])))
+    assert len(records) == 6
+    # Pipelined: the 6 inferences cost ~6 inference times (transfers
+    # hidden), not 6 x (transfer + inference) serialised.
+    assert env.now - t0 < 6 * micro_graph.inference_seconds * 1.15
+
+
 def test_run_limit(micro_setup, micro_graph):
     fw = _fw(micro_setup, micro_graph, functional=False)
     result = fw.run("synth", "cpu", batch_size=4, limit=6)
@@ -183,9 +198,6 @@ def test_intel_vpu_validation(micro_setup, micro_graph):
         IntelVPU(graph=micro_graph, num_devices=0)
     with pytest.raises(FrameworkError):
         IntelVPU(graph=micro_graph, num_devices=9)
-    target = IntelVPU(graph=micro_graph, num_devices=3)
-    with pytest.raises(FrameworkError):
-        target.process_batch([])  # prepare() not called
 
 
 def test_vpu_tdp_scales_with_devices(micro_graph):

@@ -16,7 +16,8 @@ every sibling look reached.  Imports inside functions count.
 Below the module, a module-level function, class or constant, or a
 public method or property, is used when its identifier appears in an
 entry file or in a library module other than at its definition: as a
-name, an attribute, an import alias or an identifier-shaped string.
+name, an attribute or an import alias.  Strings do not count: a span
+name such as ``"process_batch"`` is not a call of the method.
 An appearance inside a definition counts only once that definition is
 itself used, so a name that only dead code mentions is dead too.
 Package ``__init__`` files count nothing here either.  The allow-listed
@@ -24,7 +25,6 @@ oracle modules are exempt, and what they mention counts as used.
 """
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -132,7 +132,6 @@ def test_allow_list_names_only_unreached_modules():
     assert ALLOWED_UNREACHED <= _unreached()
 
 
-_IDENTIFIER = re.compile(r"[A-Za-z_]\w*\Z")
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -209,10 +208,6 @@ class _NameScan(ast.NodeVisitor):
 
     def visit_alias(self, node):
         self._use(node.name.rsplit(".", 1)[-1])
-
-    def visit_Constant(self, node):
-        if isinstance(node.value, str) and _IDENTIFIER.match(node.value):
-            self._use(node.value)
 
 
 def _unused_names() -> set[str]:

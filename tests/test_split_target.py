@@ -46,7 +46,7 @@ def _run_batch(target, items):
     def scenario():
         yield target.prepare(env)
         out["t0"] = env.now
-        out["records"] = yield target.process_batch(items)
+        out["records"] = yield env.process(target.execute(items))
         out["t1"] = env.now
 
     env.process(scenario())
@@ -121,14 +121,6 @@ def test_predictions_match_monolithic_equivalent_policy(
     for pos, record in enumerate(out["records"]):
         assert record.predicted == int(probs[pos].argmax())
         assert record.confidence == float(probs[pos].max())
-
-
-def test_process_batch_requires_prepare(micro, micro_graph):
-    planner = SplitPlanner(micro, graph=micro_graph)
-    target = SplitTarget(micro, planner.best(), functional=False)
-    from repro.errors import FrameworkError
-    with pytest.raises(FrameworkError):
-        target.process_batch(_items(1))
 
 
 # -- serving integration ----------------------------------------------------

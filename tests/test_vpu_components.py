@@ -244,8 +244,6 @@ def test_shave_utilization_accounting():
     s.record_execution(300)
     assert s.busy_cycles == 800
     assert s.kernels_run == 2
-    assert s.utilization(1600) == pytest.approx(0.5)
-    assert s.utilization(0) == 0.0
 
 
 def test_workload_validation():
